@@ -45,23 +45,6 @@ inline int JobsFromEnv(int fallback = 0) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-/// Intra-run shard count (the conservative parallel engine, src/psim).
-/// Default 1 = the serial stack; override with DIKNN_SHARDS. Composes
-/// multiplicatively with DIKNN_JOBS.
-inline int ShardsFromEnv(int fallback = 1) {
-  const char* env = std::getenv("DIKNN_SHARDS");
-  const int shards = env != nullptr ? std::atoi(env) : fallback;
-  return shards > 0 ? shards : fallback;
-}
-
-/// DIKNN_WINDOWED=1 forces the windowed engine even at one shard — the
-/// like-for-like baseline when comparing against DIKNN_SHARDS > 1 runs
-/// (windowed counters are comparable only within the windowed family).
-inline bool WindowedFromEnv() {
-  const char* env = std::getenv("DIKNN_WINDOWED");
-  return env != nullptr && std::atoi(env) != 0;
-}
-
 /// Provenance header for every BENCH_*.json: perf numbers are only
 /// comparable between runs from the same machine class and build, so
 /// each artifact records where it came from. The sha / build type come

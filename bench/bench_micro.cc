@@ -30,7 +30,6 @@
 #include "knn/itinerary.h"
 #include "knn/knnb.h"
 #include "net/packet_pool.h"
-#include "psim/engine.h"
 #include "routing/planarize.h"
 #include "sim/simulator.h"
 
@@ -311,72 +310,11 @@ int RunAllocationGate() {
   return failures;
 }
 
-// Sharded-engine extension of the gate: with the query plane enabled and
-// frames genuinely crossing shard mailboxes, every worker must still be
-// allocation-free in steady state (second half of the run) — the
-// migration scratch, qslot rings, and mailbox rings all pre-reserve.
-int RunShardedAllocationGate() {
-  std::printf("sharded allocation gate: query plane at 4 shards...\n");
-  PsimConfig config;
-  config.node_count = 768;
-  config.field = Rect::Field(560.0, 115.0);
-  config.beacon_interval = 0.1;
-  config.loss_rate = 0.02;
-  config.duration = 1.2;
-  config.seed = 42;
-  config.shards = 4;
-  config.query.enabled = true;
-  std::string error;
-  const auto spec = WorkloadSpec::Parse(
-      "arrival@kind=poisson,rate=120;mix@knn=50,window=25,aggregate=25;"
-      "k@lo=4,hi=12;deadline@s=1.0;admit@inflight=48,queue=32;"
-      "cache@ttl=0.4;coalesce@window=0.15",
-      &error);
-  if (!spec.has_value()) {
-    std::fprintf(stderr, "sharded allocation gate: bad spec: %s\n",
-                 error.c_str());
-    return 1;
-  }
-  config.query.spec = *spec;
-  config.query.warmup = 0.2;
-  config.query.horizon = config.duration;
-
-  const PsimResult r = RunPsim(config);
-  int failures = 0;
-  if (r.totals.qp.boundary_frames == 0 || r.slo.completed == 0) {
-    std::fprintf(stderr,
-                 "sharded allocation gate: scenario too quiet (no "
-                 "cross-shard query traffic)\n");
-    ++failures;
-  }
-  for (size_t s = 0; s < r.shard_stats.size(); ++s) {
-    if (r.shard_stats[s].steady_allocs != 0) {
-      std::fprintf(stderr,
-                   "sharded allocation gate FAILED: shard %zu made %llu "
-                   "steady-state allocations with query traffic (want 0 "
-                   "per worker)\n",
-                   s,
-                   static_cast<unsigned long long>(
-                       r.shard_stats[s].steady_allocs));
-      ++failures;
-    }
-  }
-  if (failures == 0) {
-    std::printf(
-        "sharded allocation gate: PASS (%llu cross-shard query frames, "
-        "%llu queries, 0 allocs/worker)\n",
-        static_cast<unsigned long long>(r.totals.qp.boundary_frames),
-        static_cast<unsigned long long>(r.slo.completed));
-  }
-  return failures;
-}
-
 }  // namespace
 }  // namespace diknn
 
 int main(int argc, char** argv) {
   if (diknn::RunAllocationGate() != 0) return 1;
-  if (diknn::RunShardedAllocationGate() != 0) return 1;
 
   // DIKNN_MICRO_SMOKE=1: keep the benchmark loop to a seconds-long pass
   // (the gate above is the check; the numbers are not meaningful).

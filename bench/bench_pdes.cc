@@ -1,17 +1,11 @@
 // bench_pdes — parallel-engine scalability benchmark.
 //
-// Two sweeps over the conservative PDES substrate (src/psim):
-//
-//   substrate — beacon traffic only, node count x shard count at constant
-//   field density; reports wall-clock frames/sec plus a load-balance
-//   model of the achievable speedup.
-//
-//   query plane — a served DIKNN workload (GPSR forwarding, itinerary
-//   traversal, the sink front end) over the same partitions; reports
-//   goodput and the same busy-clock speedup model. On every row the
-//   partition-invariant traffic counters — and, on query rows, the full
-//   SloReport — are checked against the 1-shard anchor of the same N; a
-//   silent determinism break fails the bench.
+// One sweep over the conservative PDES engine (src/psim), which runs the
+// beacon substrate only: node count x shard count at constant field
+// density; reports wall-clock frames/sec plus a load-balance model of the
+// achievable speedup. On every row the partition-invariant traffic
+// counters are checked against the 1-shard anchor of the same N; a
+// silent determinism break fails the bench.
 //
 // Load imbalance is attributed, not inferred: every row carries a
 // per-shard block with the busy clock, the barrier-wait share
@@ -28,23 +22,17 @@
 //
 // Env knobs:
 //   DIKNN_BENCH_PDES_SIZES   comma-separated N (default 2000,20000,100000)
-//   DIKNN_BENCH_PDES_QUERY_SIZES  N for the query sweep (default 2000,8000)
 //   DIKNN_BENCH_PDES_SHARDS  comma-separated shard counts (default 1,2,4,8)
 //   DIKNN_BENCH_PDES_DURATION  simulated seconds per run (default 0.5)
 //   DIKNN_PDES_SMOKE=1       run the small shard-equivalence smoke only
 //                            (used by scripts/check_all.sh); exits
 //                            nonzero on any counter mismatch.
-//   DIKNN_PDES_QUERY_SMOKE=1 run the query-plane smoke only: a served
-//                            workload at --shards 4 must produce goodput
-//                            > 0 with SloReport and counters byte-equal
-//                            to --shards 1.
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -89,39 +77,11 @@ PsimConfig ConfigFor(int nodes, int shards, double duration) {
   return config;
 }
 
-// The query sweep's served workload: concurrent mixed-class queries with
-// deadlines, admission control, caching, and coalescing — the serving
-// stack end to end, all of it crossing shard boundaries.
-constexpr char kQuerySpec[] =
-    "arrival@kind=poisson,rate=120;mix@knn=50,window=25,aggregate=25;"
-    "k@lo=4,hi=12;deadline@s=1.0;admit@inflight=48,queue=32;"
-    "cache@ttl=0.4;coalesce@window=0.15";
-
-PsimConfig QueryConfigFor(int nodes, int shards, double duration) {
-  PsimConfig config = ConfigFor(nodes, shards, duration);
-  config.beacon_interval = 0.1;
-  config.loss_rate = 0.02;
-  config.query.enabled = true;
-  std::string error;
-  const auto spec = WorkloadSpec::Parse(kQuerySpec, &error);
-  if (!spec.has_value()) {
-    std::fprintf(stderr, "bench_pdes: bad query spec: %s\n",
-                 error.c_str());
-    std::exit(1);
-  }
-  config.query.spec = *spec;
-  config.query.sink = 0;
-  config.query.warmup = 0.2;
-  config.query.horizon = duration;
-  return config;
-}
-
 struct ShardDetail {
   double busy_s = 0.0;
   double barrier_wait_s = 0.0;
   double wait_share = 0.0;  ///< wait / (busy + wait); imbalance signal.
   uint64_t frames_hwm = 0;
-  uint64_t queries_hwm = 0;
   uint64_t migrations_hwm = 0;
 };
 
@@ -138,13 +98,7 @@ struct Row {
   double speedup_model = 0.0;
   double efficiency_model = 0.0;
   double max_wait_share = 0.0;
-  uint64_t max_queries_hwm = 0;
   std::vector<ShardDetail> per_shard;
-  // Query-sweep extras (zero on substrate rows).
-  uint64_t issued = 0;
-  uint64_t completed = 0;
-  double goodput_qps = 0.0;
-  uint64_t qp_hops = 0;
   bool invariant_ok = true;
 };
 
@@ -156,12 +110,10 @@ void FillShardDetail(const PsimResult& r, Row* row) {
     const double denom = s.busy_s + s.barrier_wait_s;
     d.wait_share = denom > 0.0 ? s.barrier_wait_s / denom : 0.0;
     d.frames_hwm = s.frames_mailbox_hwm;
-    d.queries_hwm = s.queries_mailbox_hwm;
     d.migrations_hwm = s.migrations_mailbox_hwm;
     row->busy_sum_s += s.busy_s;
     row->busy_max_s = std::max(row->busy_max_s, s.busy_s);
     row->max_wait_share = std::max(row->max_wait_share, d.wait_share);
-    row->max_queries_hwm = std::max(row->max_queries_hwm, d.queries_hwm);
     row->per_shard.push_back(d);
   }
   row->speedup_model = row->busy_max_s > 0.0
@@ -172,12 +124,9 @@ void FillShardDetail(const PsimResult& r, Row* row) {
 
 Row RunOne(const PsimConfig& config,
            const PsimStats::Invariants* anchor,
-           const std::string* slo_anchor,
-           PsimStats::Invariants* invariants_out,
-           std::string* slo_out) {
+           PsimStats::Invariants* invariants_out) {
   const PsimResult r = RunPsim(config);
   *invariants_out = r.totals.InvariantCounters();
-  *slo_out = r.query_ran ? r.slo.ToJson() : std::string();
   Row row;
   row.nodes = config.node_count;
   row.shards_requested = config.shards;
@@ -188,20 +137,12 @@ Row RunOne(const PsimConfig& config,
   row.frames_per_s =
       static_cast<double>(row.frames) / std::max(r.wall_s, 1e-9);
   FillShardDetail(r, &row);
-  if (r.query_ran) {
-    row.issued = r.slo.issued;
-    row.completed = r.slo.completed;
-    row.goodput_qps = r.slo.GoodputQps();
-    row.qp_hops = r.totals.qp.hops;
-  }
   row.invariant_ok =
-      (anchor == nullptr || r.totals.InvariantCounters() == *anchor) &&
-      (slo_anchor == nullptr || *slo_out == *slo_anchor);
+      anchor == nullptr || r.totals.InvariantCounters() == *anchor;
   return row;
 }
 
-void WriteRows(std::ofstream& out, const std::vector<Row>& rows,
-               bool query) {
+void WriteRows(std::ofstream& out, const std::vector<Row>& rows) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"nodes\": " << r.nodes << ", \"shards\": " << r.shards
@@ -212,14 +153,8 @@ void WriteRows(std::ofstream& out, const std::vector<Row>& rows,
         << ", \"busy_sum_s\": " << r.busy_sum_s
         << ", \"busy_max_s\": " << r.busy_max_s
         << ", \"speedup_model\": " << r.speedup_model
-        << ", \"efficiency_model\": " << r.efficiency_model;
-    if (query) {
-      out << ", \"issued\": " << r.issued
-          << ", \"completed\": " << r.completed
-          << ", \"goodput_qps\": " << r.goodput_qps
-          << ", \"qp_hops\": " << r.qp_hops;
-    }
-    out << ", \"invariant_ok\": " << (r.invariant_ok ? "true" : "false")
+        << ", \"efficiency_model\": " << r.efficiency_model
+        << ", \"invariant_ok\": " << (r.invariant_ok ? "true" : "false")
         << ",\n     \"per_shard\": [";
     for (size_t s = 0; s < r.per_shard.size(); ++s) {
       const ShardDetail& d = r.per_shard[s];
@@ -227,22 +162,18 @@ void WriteRows(std::ofstream& out, const std::vector<Row>& rows,
           << ", \"barrier_wait_s\": " << d.barrier_wait_s
           << ", \"wait_share\": " << d.wait_share
           << ", \"frames_hwm\": " << d.frames_hwm
-          << ", \"queries_hwm\": " << d.queries_hwm
           << ", \"migrations_hwm\": " << d.migrations_hwm << "}";
     }
     out << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
 }
 
-void WriteJson(const std::vector<Row>& rows,
-               const std::vector<Row>& query_rows, bool all_ok) {
+void WriteJson(const std::vector<Row>& rows, bool all_ok) {
   std::ofstream out("BENCH_pdes.json");
   out << "{\n  \"bench\": \"pdes\",\n  " << bench::ProvenanceJson()
       << ",\n  \"equivalent\": " << (all_ok ? "true" : "false")
       << ",\n  \"results\": [\n";
-  WriteRows(out, rows, /*query=*/false);
-  out << "  ],\n  \"query_results\": [\n";
-  WriteRows(out, query_rows, /*query=*/true);
+  WriteRows(out, rows);
   out << "  ]\n}\n";
 }
 
@@ -311,110 +242,32 @@ int RunSmoke() {
   return 0;
 }
 
-// Query-plane smoke (DIKNN_PDES_QUERY_SMOKE=1): a served DIKNN workload
-// at --shards 4 must complete queries (goodput > 0) with the SloReport
-// and every partition-invariant counter byte-equal to --shards 1.
-int RunQuerySmoke() {
-  PsimConfig config = QueryConfigFor(768, 1, 1.2);
-  config.field = Rect::Field(560.0, 115.0);
-  config.seed = 42;
-
-  const PsimResult anchor = RunPsim(config);
-  const std::string anchor_slo = anchor.slo.ToJson();
-  if (anchor.slo.issued == 0 || anchor.slo.completed == 0) {
-    std::fprintf(stderr,
-                 "PDES query smoke: anchor completed no queries "
-                 "(issued %llu)\n",
-                 static_cast<unsigned long long>(anchor.slo.issued));
-    return 1;
-  }
-
-  config.shards = 4;
-  const PsimResult r = RunPsim(config);
-  if (r.shards != 4) {
-    std::fprintf(stderr, "PDES query smoke: wanted 4 shards, got %d\n",
-                 r.shards);
-    return 1;
-  }
-  if (!(r.slo.GoodputQps() > 0.0)) {
-    std::fprintf(stderr, "PDES query smoke: zero goodput at 4 shards\n");
-    return 1;
-  }
-  if (r.slo.ToJson() != anchor_slo) {
-    std::fprintf(stderr,
-                 "PDES query smoke: SloReport diverged at 4 shards\n%s\n"
-                 "vs anchor\n%s\n",
-                 r.slo.ToJson().c_str(), anchor_slo.c_str());
-    return 1;
-  }
-  if (!(r.totals.InvariantCounters() ==
-        anchor.totals.InvariantCounters())) {
-    std::fprintf(stderr,
-                 "PDES query smoke: traffic counters diverged at 4 "
-                 "shards (qp hops %llu vs %llu)\n",
-                 static_cast<unsigned long long>(r.totals.qp.hops),
-                 static_cast<unsigned long long>(anchor.totals.qp.hops));
-    return 1;
-  }
-  if (r.totals.qp.boundary_frames == 0 ||
-      r.totals.qp.boundary_frames != r.totals.qp.foreign_frames) {
-    std::fprintf(stderr,
-                 "PDES query smoke: query mailbox imbalance "
-                 "(boundary %llu, foreign %llu)\n",
-                 static_cast<unsigned long long>(
-                     r.totals.qp.boundary_frames),
-                 static_cast<unsigned long long>(
-                     r.totals.qp.foreign_frames));
-    return 1;
-  }
-  std::printf(
-      "PDES query smoke: shards {1,4} equivalent, %llu queries "
-      "completed, %.1f q/s goodput, %llu cross-shard query frames\n",
-      static_cast<unsigned long long>(r.slo.completed),
-      r.slo.GoodputQps(),
-      static_cast<unsigned long long>(r.totals.qp.boundary_frames));
-  return 0;
-}
-
-std::vector<Row> Sweep(const char* name, const std::vector<int>& sizes,
+std::vector<Row> Sweep(const std::vector<int>& sizes,
                        const std::vector<int>& shard_counts,
-                       double duration, bool query, bool* all_ok) {
-  std::printf("--- %s sweep ---\n", name);
-  std::printf("%-9s %-7s %10s %12s %10s %8s %6s %8s %6s\n", "nodes",
-              "shards", query ? "queries" : "frames", "frames/sec",
-              "wall(s)", "model", "wait%", "q-hwm", "ok");
+                       double duration, bool* all_ok) {
+  std::printf("%-9s %-7s %10s %12s %10s %8s %6s %6s\n", "nodes", "shards",
+              "frames", "frames/sec", "wall(s)", "model", "wait%", "ok");
   std::vector<Row> rows;
   for (int n : sizes) {
     // The first shard count of the list anchors the invariant check for
     // this N; every later row must match it exactly.
     PsimStats::Invariants anchor{};
-    std::string slo_anchor;
     bool have_anchor = false;
     for (int shards : shard_counts) {
-      const PsimConfig config = query
-                                    ? QueryConfigFor(n, shards, duration)
-                                    : ConfigFor(n, shards, duration);
       PsimStats::Invariants invariants{};
-      std::string slo;
-      const Row row =
-          RunOne(config, have_anchor ? &anchor : nullptr,
-                 have_anchor && query ? &slo_anchor : nullptr,
-                 &invariants, &slo);
+      const Row row = RunOne(ConfigFor(n, shards, duration),
+                             have_anchor ? &anchor : nullptr, &invariants);
       if (!have_anchor) {
         anchor = invariants;
-        slo_anchor = slo;
         have_anchor = true;
       }
       *all_ok = *all_ok && row.invariant_ok;
-      std::printf(
-          "%-9d %-7d %10llu %12.0f %10.3f %7.2fx %5.1f%% %8llu %6s\n",
-          row.nodes, row.shards,
-          static_cast<unsigned long long>(query ? row.completed
-                                                : row.frames),
-          row.frames_per_s, row.wall_s, row.speedup_model,
-          100.0 * row.max_wait_share,
-          static_cast<unsigned long long>(row.max_queries_hwm),
-          row.invariant_ok ? "yes" : "NO");
+      std::printf("%-9d %-7d %10llu %12.0f %10.3f %7.2fx %5.1f%% %6s\n",
+                  row.nodes, row.shards,
+                  static_cast<unsigned long long>(row.frames),
+                  row.frames_per_s, row.wall_s, row.speedup_model,
+                  100.0 * row.max_wait_share,
+                  row.invariant_ok ? "yes" : "NO");
       rows.push_back(row);
     }
   }
@@ -428,15 +281,9 @@ int main() {
   if (smoke != nullptr && std::strcmp(smoke, "1") == 0) {
     return RunSmoke();
   }
-  const char* query_smoke = std::getenv("DIKNN_PDES_QUERY_SMOKE");
-  if (query_smoke != nullptr && std::strcmp(query_smoke, "1") == 0) {
-    return RunQuerySmoke();
-  }
 
   const std::vector<int> sizes =
       IntListFromEnv("DIKNN_BENCH_PDES_SIZES", {2000, 20000, 100000});
-  const std::vector<int> query_sizes =
-      IntListFromEnv("DIKNN_BENCH_PDES_QUERY_SIZES", {2000, 8000});
   const std::vector<int> shard_counts =
       IntListFromEnv("DIKNN_BENCH_PDES_SHARDS", {1, 2, 4, 8});
   const double duration = DurationFromEnv();
@@ -445,19 +292,13 @@ int main() {
               duration, std::thread::hardware_concurrency());
 
   bool all_ok = true;
-  const std::vector<Row> rows = Sweep("substrate (beacons)", sizes,
-                                      shard_counts, duration,
-                                      /*query=*/false, &all_ok);
-  const std::vector<Row> query_rows =
-      Sweep("query plane (served DIKNN workload)", query_sizes,
-            shard_counts, std::max(duration, 1.0), /*query=*/true,
-            &all_ok);
+  const std::vector<Row> rows = Sweep(sizes, shard_counts, duration, &all_ok);
 
   if (!all_ok) {
     std::fprintf(stderr,
                  "FAIL: traffic counters diverged across shard counts\n");
   }
-  WriteJson(rows, query_rows, all_ok);
+  WriteJson(rows, all_ok);
   std::printf("wrote BENCH_pdes.json\n");
   return all_ok ? 0 : 1;
 }

@@ -27,12 +27,8 @@
 // its stack; reports merge by integer bucket counts).
 //
 // Env knobs: DIKNN_RUNS, DIKNN_DURATION, DIKNN_JOBS (see bench_common.h),
-// plus DIKNN_WORKLOAD_SMOKE=1 for a two-point CI-sized sweep.
-// DIKNN_SHARDS=N (N > 1) runs every point on the conservative parallel
-// engine — the full query plane crossing shard mailboxes — and restricts
-// the sweep to DIKNN (the engine does not emulate the KPT baseline);
-// DIKNN_WINDOWED=1 is the matching 1-shard baseline, byte-equal in every
-// SLO field and traffic counter to any DIKNN_SHARDS setting.
+// plus DIKNN_WORKLOAD_SMOKE=1 for a two-point CI-sized sweep. Every point
+// runs on the serial engine.
 
 #include <cstdio>
 #include <cstdlib>
@@ -95,28 +91,19 @@ int main() {
   }();
 
   std::vector<double> rates = {0.25, 0.5, 1, 2, 4, 8, 16, 32};
-  std::vector<ProtocolKind> protocols = {ProtocolKind::kDiknn,
-                                         ProtocolKind::kKptKnnb};
+  const std::vector<ProtocolKind> protocols = {ProtocolKind::kDiknn,
+                                               ProtocolKind::kKptKnnb};
 
   ExperimentConfig base = PaperDefaults(ProtocolKind::kDiknn);
   base.duration = DurationFromEnv(smoke ? 8.0 : 40.0);
-  base.shards = ShardsFromEnv();
-  base.force_windowed = WindowedFromEnv();
-  if (base.shards > 1 || base.force_windowed) {
-    // The windowed engine runs DIKNN itineraries only; drop the KPT
-    // baseline from sharded sweeps rather than mislabel DIKNN numbers.
-    protocols = {ProtocolKind::kDiknn};
-  }
   if (smoke) {
     rates = {1, 8};
     base.runs = 1;
   }
 
   std::printf("=== bench_workload: offered-load sweep ===\n");
-  std::printf("runs/point=%d, duration=%.0fs, jobs=%d, shards=%d%s%s\n",
-              base.runs, base.duration, base.jobs, base.shards,
-              base.force_windowed ? " (windowed)" : "",
-              smoke ? " (smoke)" : "");
+  std::printf("runs/point=%d, duration=%.0fs, jobs=%d%s\n", base.runs,
+              base.duration, base.jobs, smoke ? " (smoke)" : "");
   std::printf("%-8s %-8s %-8s %8s %8s %8s %8s %8s %7s %7s %7s %9s %6s\n",
               "config", "qps", "protocol", "issued", "goodput", "p50(s)",
               "p95(s)", "p99(s)", "miss%", "rej%", "tmo%", "cache", "coal");
@@ -190,9 +177,6 @@ int main() {
       << "  \"served_template\": \"" << kServedTemplate << "\",\n"
       << "  \"runs_per_point\": " << base.runs << ",\n"
       << "  \"duration_s\": " << base.duration << ",\n"
-      << "  \"shards\": " << base.shards << ",\n"
-      << "  \"windowed\": " << (base.force_windowed ? "true" : "false")
-      << ",\n"
       << "  \"knees\": [\n" << knees << "\n  ],\n"
       << "  \"points\": [\n" << points << "\n  ]\n}\n";
   std::printf("wrote BENCH_workload.json (%zu points)\n",

@@ -8,7 +8,10 @@
 # in smoke mode; DIKNN_CHECK_BENCH=0 skips them), and a traced-query run
 # whose Chrome-trace and metrics JSON are validated with python3 — the
 # metrics must report zero steady-state packet-plane allocations
-# (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md).
+# (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md),
+# the same gate on a 60 s sharded beacon-substrate run, the CLI's refusal
+# of serial-only options on the windowed engine, and the flight
+# recorder's determinism across --jobs and shard counts.
 #
 # Usage: scripts/check_all.sh
 set -euo pipefail
@@ -37,8 +40,6 @@ if [[ "${DIKNN_CHECK_BENCH:-1}" != "0" ]]; then
   DIKNN_MICRO_SMOKE=1 ./build/bench/bench_micro
   echo "== bench_pdes smoke (shard equivalence) =="
   DIKNN_PDES_SMOKE=1 ./build/bench/bench_pdes
-  echo "== bench_pdes query smoke (served workload across shards) =="
-  DIKNN_PDES_QUERY_SMOKE=1 ./build/bench/bench_pdes
 fi
 
 echo "== traced-query smoke =="
@@ -63,6 +64,42 @@ else
   echo "python3 not found; skipping JSON validation"
 fi
 
+echo "== sharded allocation gate =="
+# The windowed engine's steady state is allocation-free on every shard
+# over a long mobile run at the paper's density (N=2000 on 363.7 m).
+./build/tools/diknn-sim --runs 1 --duration 60 --nodes 2000 --field 363.7 \
+  --shards 2 --metrics-out "$obs_dir/sharded.json"
+if command -v python3 >/dev/null; then
+  python3 - "$obs_dir/sharded.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+allocs = {k: v for k, v in doc["counters"].items() if k.endswith(".allocs")}
+if allocs.get("net.allocs") != 0 or any(allocs.values()):
+    raise SystemExit(f"sharded allocation gate: expected zeros, got {allocs}")
+print(f"sharded run: {allocs}")
+PY
+else
+  echo "python3 not found; skipping sharded allocation validation"
+fi
+
+echo "== windowed engine rejects serial-only options =="
+# --shards N>1 / --windowed run the beacon substrate only; a query
+# workload, faults, the lifecycle audit or query tracing must be refused
+# with a non-zero exit, never dropped.
+for opt in "--workload arrival@kind=poisson,rate=2" "--faults kill@t=1,count=1" \
+           "--audit" "--trace-out $obs_dir/refused.json" "--trace-sample 1"; do
+  for engine in "--shards 4" "--windowed"; do
+    # shellcheck disable=SC2086  # Both strings are flag lists.
+    if ./build/tools/diknn-sim --runs 1 --duration 1 $engine $opt \
+        >/dev/null 2>&1; then
+      echo "diknn-sim $engine $opt exited 0; expected a refusal"
+      exit 1
+    fi
+  done
+done
+echo "serial-only options refused on the windowed engine"
+
 echo "== served-workload smoke =="
 ./build/tools/diknn-sim --runs 1 --duration 30 --nodes 120 --field 90 \
   --workload 'arrival@kind=poisson,rate=8;k@lo=10;space@kind=hotspot,n=2,sigma=5,skew=1.2;deadline@s=4;admit@inflight=128,queue=32,shed=1;cache@ttl=8,cells=3;coalesce@window=3,kslack=6' \
@@ -84,10 +121,11 @@ fi
 
 echo "== flight-recorder smoke =="
 # A served workload with the recorder on: the artifact must be valid
-# JSON with at least one non-empty deterministic series, byte-identical
-# across --jobs, and its deterministic section byte-identical between
-# the 1-shard windowed engine and a 4-shard run (docs/OBSERVABILITY.md
-# "Time series & flight recorder").
+# JSON with at least one non-empty deterministic series and byte-identical
+# across --jobs. The beacon substrate with the recorder on: its net.*
+# series must be non-empty and its deterministic section byte-identical
+# between the 1-shard windowed engine and a 4-shard run
+# (docs/OBSERVABILITY.md "Time series & flight recorder").
 ts_workload='arrival@kind=poisson,rate=8;k@lo=6,hi=10;deadline@s=2;admit@inflight=24,queue=12'
 ./build/tools/diknn-sim --runs 2 --jobs 1 --duration 20 --nodes 120 --field 90 \
   --workload "$ts_workload" --ts-interval 1 --ts-out "$obs_dir/ts_jobs1.json"
@@ -96,11 +134,9 @@ ts_workload='arrival@kind=poisson,rate=8;k@lo=6,hi=10;deadline@s=2;admit@infligh
 cmp "$obs_dir/ts_jobs1.json" "$obs_dir/ts_jobs4.json" \
   || { echo "flight recording differs across --jobs"; exit 1; }
 ./build/tools/diknn-sim --runs 1 --duration 8 --nodes 1024 --field 560 \
-  --windowed --workload "$ts_workload" --ts-interval 0.5 \
-  --ts-out "$obs_dir/ts_shards1.json"
+  --windowed --ts-interval 0.5 --ts-out "$obs_dir/ts_shards1.json"
 ./build/tools/diknn-sim --runs 1 --duration 8 --nodes 1024 --field 560 \
-  --shards 4 --workload "$ts_workload" --ts-interval 0.5 \
-  --ts-out "$obs_dir/ts_shards4.json"
+  --shards 4 --ts-interval 0.5 --ts-out "$obs_dir/ts_shards4.json"
 if command -v python3 >/dev/null; then
   python3 - "$obs_dir/ts_jobs1.json" "$obs_dir/ts_shards1.json" \
     "$obs_dir/ts_shards4.json" <<'PY'
@@ -112,6 +148,9 @@ for path in sys.argv[1:]:
     if not any(s["v"] for s in series.values()):
         raise SystemExit(f"{path}: no non-empty deterministic series")
 a, b = (json.load(open(p)) for p in sys.argv[2:4])
+net = {k: s for k, s in a["series"].items() if k.startswith("net.")}
+if not net or not all(s["v"] for s in net.values()):
+    raise SystemExit(f"substrate recording: empty net.* series in {list(net)}")
 if (a["series"], a["annotations"]) != (b["series"], b["annotations"]):
     raise SystemExit("deterministic series differ across shard counts")
 print(f"flight recording OK: {len(series)} deterministic series, "

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -370,12 +372,10 @@ void InstallWorkloadProbes(FlightRecorder* rec, const QueryDriver* driver) {
   });
 }
 
-// A sharded (or force-windowed) run: hand the substrate to the parallel
-// engine. With a workload spec the engine also runs the query plane
-// (GPSR forwarding + DIKNN itineraries + the serving front end across
-// shard mailboxes), so the RunMetrics carry a populated SloReport next
-// to the psim traffic counters, merged per-shard scheduler stats, and
-// the psim.* / qp.* observability snapshot.
+// A sharded (or force-windowed) run: hand the beacon substrate to the
+// parallel engine. No queries run, so the RunMetrics carry only the
+// average degree, merged per-shard scheduler stats, the psim.*
+// observability snapshot and the flight recording.
 RunMetrics RunPsimSubstrate(const ExperimentConfig& config, uint64_t seed) {
   const NetworkConfig& net = config.network;
   PsimConfig pc;
@@ -394,18 +394,6 @@ RunMetrics RunPsimSubstrate(const ExperimentConfig& config, uint64_t seed) {
   pc.duration = config.warmup + config.duration;
   pc.seed = seed;
   pc.ts = ResolveTsOptions(config);
-  if (config.workload.has_value()) {
-    // The sink mirrors the serial harness' static sink (node 0). Arrivals
-    // cover the measured interval; the drain tail lets in-flight replies
-    // land before the horizon times the rest out.
-    pc.query.enabled = true;
-    pc.query.spec = *config.workload;
-    pc.query.diknn = config.diknn;
-    pc.query.sink = 0;
-    pc.query.warmup = config.warmup;
-    pc.query.horizon = config.warmup + config.duration;
-    pc.duration = config.warmup + config.duration + config.drain;
-  }
 
   PsimResult result = RunPsim(pc);
 
@@ -413,15 +401,6 @@ RunMetrics RunPsimSubstrate(const ExperimentConfig& config, uint64_t seed) {
   metrics.average_degree = result.average_degree;
   metrics.shards_requested = result.shards_requested;
   metrics.shards_effective = result.shards;
-  if (result.query_ran) {
-    metrics.slo = result.slo;
-    metrics.queries = static_cast<int>(result.slo.issued);
-    metrics.timeouts = static_cast<int>(result.slo.timed_out);
-    metrics.avg_latency = result.slo.latency.Mean();
-    metrics.p50_latency = result.slo.p50();
-    metrics.p95_latency = result.slo.p95();
-    metrics.p99_latency = result.slo.p99();
-  }
   EngineRunCounters& en = metrics.engine;
   en.events_pushed = result.engine.events_pushed;
   en.events_fired = result.engine.events_fired;
@@ -444,6 +423,14 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
                    std::vector<QueryRecord>* records_out,
                    TraceData* trace_out) {
   if (config.shards > 1 || config.force_windowed) {
+    // The windowed engine carries no query traffic; running its substrate
+    // in place of a requested workload would report a different model.
+    if (config.workload.has_value()) {
+      std::fprintf(stderr,
+                   "RunOnce: a query workload runs on the serial engine "
+                   "only (shards == 1, force_windowed off)\n");
+      std::abort();
+    }
     return RunPsimSubstrate(config, seed);
   }
   ProtocolStack stack(config, seed);

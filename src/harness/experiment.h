@@ -76,24 +76,20 @@ struct ExperimentConfig {
   /// `query_interval_mean` and `k` are ignored in that case (the spec's
   /// arrival and k sections govern). See src/workload/workload_spec.h.
   std::optional<WorkloadSpec> workload;
-  /// Worker threads *inside* one run: > 1 tiles the sensor field
-  /// (column strips, or a rows x cols grid when the field is too narrow
-  /// for that many strips) and runs the conservative parallel engine
-  /// (src/psim) instead of the serial stack. --shards 1 (the default) is
-  /// the serial engine, unchanged — it is the determinism anchor,
-  /// exactly as kLegacyHeap anchors the timer wheel. Sharded runs
-  /// simulate the beacon substrate plus — when `workload` is set — the
-  /// full query plane (GPSR forwarding, DIKNN itineraries, the serving
-  /// front end), reporting psim.* / qp.* / serving.* metrics and a
-  /// populated SloReport; the SLO report and every partition-invariant
-  /// traffic counter are byte-equal across shard counts
-  /// (psim_determinism_test). Compose with `jobs` carefully: the total
+  /// Worker threads *inside* one run. 1 (the default) is the serial
+  /// engine, the only engine that runs DIKNN and the baselines. > 1 tiles
+  /// the sensor field (column strips, or a rows x cols grid when the
+  /// field is too narrow for that many strips) and runs the beacon
+  /// substrate alone on the conservative parallel engine (src/psim): no
+  /// queries, no protocol, no energy or accuracy — only psim.* traffic
+  /// counters, the average degree and the flight recording, each
+  /// byte-equal across shard counts (psim_determinism_test). RunOnce
+  /// aborts when `workload` is set together with shards > 1. The total
   /// thread count is jobs x shards.
   int shards = 1;
-  /// Run the windowed parallel engine even at shards == 1. This is the
-  /// like-for-like baseline for cross-shard comparisons: the windowed
-  /// engine emulates (not byte-replicates) the serial protocol stack, so
-  /// its counters are comparable only within the windowed family.
+  /// Run the windowed parallel engine even at shards == 1: the 1-shard
+  /// reference for cross-shard comparisons of the beacon substrate. Same
+  /// rules as shards > 1, including the abort on `workload`.
   bool force_windowed = false;
   /// Fraction of queries traced by a per-run Tracer, in [0,1]. The
   /// effective rate is max(trace_sample, workload->trace_sample); 0 (the

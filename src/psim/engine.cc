@@ -5,7 +5,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <thread>
 
 #include "net/beacon.h"
@@ -52,8 +51,6 @@ bool PartitionDependentMetric(const std::string& name) {
       "psim.migrations_in",   "psim.migrations_out",
       "psim.sweeps",          "psim.windows",
       "psim.audit_probes",    "psim.audit_mismatches",
-      "qp.boundary_frames",   "qp.foreign_frames",
-      "qp.remails",           "qp.state_migrations",
   };
   for (const char* prefix : kPrefixes) {
     if (name.rfind(prefix, 0) == 0) return true;
@@ -151,48 +148,18 @@ void PsimEngine::BuildWorld() {
     world_->cell_nodes[static_cast<size_t>(node.cell)].push_back(
         static_cast<uint32_t>(i));
   }
-  // Head-room so per-cell buckets rarely regrow once the run reaches
-  // steady state (the allocation gate counts second-half growth).
+  // Head-room so per-cell buckets never regrow once the run reaches
+  // steady state (the allocation gate counts second-half growth). Random
+  // waypoint drifts nodes toward the field centre, so a centre bucket
+  // outgrows its uniform start; reserve 4x the mean cell population plus
+  // slack, as for the neighbor tables above.
+  const double cell_area = part.cell_size() * part.cell_size();
+  const size_t bucket_bound = std::min<size_t>(
+      static_cast<size_t>(n),
+      area <= 0.0 ? static_cast<size_t>(n)
+                  : static_cast<size_t>(4.0 * n * cell_area / area) + 16);
   for (std::vector<uint32_t>& bucket : world_->cell_nodes) {
-    bucket.reserve(bucket.size() * 2 + 8);
-  }
-
-  // Fault schedule: a kill lands on the first sweep window whose time is
-  // >= the configured instant, so the set of dead nodes at any window is
-  // a pure function of (schedule, window) — identical on every shard
-  // layout.
-  world_->alive.assign(static_cast<size_t>(n), 1);
-  if (!config_.node_kills.empty()) {
-    world_->kill_window.assign(static_cast<size_t>(n),
-                               std::numeric_limits<uint64_t>::max());
-    const uint64_t refresh =
-        static_cast<uint64_t>(part.refresh_windows());
-    const double sweep_period = part.lookahead() * part.refresh_windows();
-    for (const auto& [when, id] : config_.node_kills) {
-      if (id >= static_cast<uint32_t>(n)) continue;
-      const uint64_t kw =
-          when <= 0.0
-              ? 0
-              : static_cast<uint64_t>(std::ceil(when / sweep_period)) *
-                    refresh;
-      uint64_t& slot = world_->kill_window[id];
-      slot = std::min(slot, kw);
-    }
-  }
-
-  // The query plane's schedule and sizing must exist before the shards:
-  // each shard ctor pre-warms its itinerary scratch from max_radius and
-  // sizes its query mailboxes from the workload bounds.
-  world_->query.config = config_.query;
-  BuildQueryPlane(&world_->query, config_.field, n, config_.radio_range_m,
-                  config_.max_speed, config_.duration, config_.seed);
-  if (config_.query.enabled) {
-    const double time_unit =
-        std::max(part.lookahead(), config_.query.diknn.time_unit);
-    world_->query.collection_windows =
-        static_cast<uint32_t>(std::clamp<int64_t>(
-            std::llround(time_unit / part.lookahead()), 1,
-            static_cast<int64_t>(kQuerySlotCount) - 2));
+    bucket.reserve(std::max(bucket.size() * 2 + 8, bucket_bound));
   }
 
   shards_.reserve(static_cast<size_t>(part.shards()));
@@ -246,9 +213,7 @@ PsimResult PsimEngine::Run() {
   FlightRecorder recorder(config_.ts);
   const bool ts_on = config_.ts.enabled();
   struct TsState {
-    CounterDelta frames, attempted, collided, lost, qp_hops;
-    SloReport prev_slo;
-    ServingCounters prev_serving;
+    CounterDelta frames, attempted, collided, lost;
     double prev_t = 0.0;
     double next_sample_t = 0.0;
     uint64_t prev_k = 0;
@@ -284,58 +249,6 @@ PsimResult PsimEngine::Run() {
                                          da));
       loss_rate->Append(t, SafeRate(ts_state.lost.Take(lost), da));
     });
-    if (config_.query.enabled) {
-      TimeSeries* hops_per_s = recorder.AddSeries("qp.hops_per_s");
-      TimeSeries* issued_per_s = recorder.AddSeries("workload.issued_per_s");
-      TimeSeries* goodput = recorder.AddSeries("workload.goodput_qps");
-      TimeSeries* p50_ms = recorder.AddSeries("workload.p50_ms");
-      TimeSeries* p99_ms = recorder.AddSeries("workload.p99_ms");
-      TimeSeries* miss_rate = recorder.AddSeries("workload.miss_rate");
-      TimeSeries* reject_rate = recorder.AddSeries("workload.reject_rate");
-      TimeSeries* timeout_rate = recorder.AddSeries("workload.timeout_rate");
-      TimeSeries* cache_hit_rate =
-          recorder.AddSeries("serving.cache_hit_rate");
-      TimeSeries* coalesce_rate = recorder.AddSeries("serving.coalesce_rate");
-      TimeSeries* shed_per_s = recorder.AddSeries("serving.shed_per_s");
-      recorder.AddProbe([this, &ts_state, hops_per_s, issued_per_s, goodput,
-                         p50_ms, p99_ms, miss_rate, reject_rate,
-                         timeout_rate, cache_hit_rate, coalesce_rate,
-                         shed_per_s](double t) {
-        uint64_t hops = 0;
-        for (const std::unique_ptr<PsimShard>& sh : shards_) {
-          hops += sh->stats().qp.hops;
-        }
-        const double dt = t - ts_state.prev_t;
-        hops_per_s->Append(
-            t, dt > 0.0 ? ts_state.qp_hops.Take(hops) / dt : 0.0);
-        const SloReport& now = world_->query.slo;
-        const SloReport& prev = ts_state.prev_slo;
-        const uint64_t issued = now.issued - prev.issued;
-        issued_per_s->Append(t, dt > 0.0 ? issued / dt : 0.0);
-        goodput->Append(
-            t, dt > 0.0 ? (now.completed - prev.completed) / dt : 0.0);
-        p50_ms->Append(t,
-                       1e3 * now.latency.DeltaPercentile(prev.latency, 50.0));
-        p99_ms->Append(t,
-                       1e3 * now.latency.DeltaPercentile(prev.latency, 99.0));
-        miss_rate->Append(
-            t, SafeRate(now.deadline_missed - prev.deadline_missed, issued));
-        reject_rate->Append(t, SafeRate(now.rejected - prev.rejected,
-                                        issued));
-        timeout_rate->Append(t, SafeRate(now.timed_out - prev.timed_out,
-                                         issued));
-        const ServingCounters& sc = world_->query.serving;
-        const ServingCounters& sp = ts_state.prev_serving;
-        const uint64_t hits = sc.cache_hits - sp.cache_hits;
-        const uint64_t misses = sc.cache_misses - sp.cache_misses;
-        cache_hit_rate->Append(t, SafeRate(hits, hits + misses));
-        coalesce_rate->Append(t, SafeRate(sc.coalesced - sp.coalesced,
-                                          issued));
-        shed_per_s->Append(t, dt > 0.0 ? (sc.shed - sp.shed) / dt : 0.0);
-        ts_state.prev_serving = sc;
-        ts_state.prev_slo = now;
-      });
-    }
     // Per-shard health diagnostics: wall-clock shares and live mailbox
     // occupancy. Partition-dependent by nature (busy_s precedent) —
     // exported under "diagnostics", never byte-compared.
@@ -381,6 +294,11 @@ PsimResult PsimEngine::Run() {
     const double t = k * lookahead;
     if (t + 1e-12 < ts_state.next_sample_t) return;
     ts_state.sample_windows = k - ts_state.prev_k;
+    // The completion step runs on whichever worker arrived last, with that
+    // shard's allocation scope armed. Series storage is the recorder's,
+    // not the substrate's: keep its ring growth out of net.allocs, so a
+    // recorded run passes the same allocation gate as an unrecorded one.
+    AllocScopePause pause;
     recorder.Tick(t);
     ts_state.prev_t = t;
     ts_state.prev_k = k;
@@ -439,33 +357,12 @@ PsimResult PsimEngine::Run() {
   const double wall_s =
       Seconds(std::chrono::steady_clock::now() - wall_start);
 
-  // Workers are joined: single-threaded from here. Settle everything the
-  // horizon left pending (in-flight queries time out) and seal the
-  // report before it is published into the snapshot.
-  if (config_.query.enabled) FinalizeQueryPlane(&world_->query);
-
-  // Kill-edge annotations, recomputed from the schedule: each kill lands
-  // at its sweep window's boundary, a pure function of (schedule, L) —
-  // identical at every shard count.
-  if (ts_on && !world_->kill_window.empty()) {
-    for (size_t i = 0; i < world_->kill_window.size(); ++i) {
-      const uint64_t kw = world_->kill_window[i];
-      if (kw == std::numeric_limits<uint64_t>::max() || kw > windows) {
-        continue;
-      }
-      recorder.Annotate(kw * lookahead, "node.kill",
-                        static_cast<double>(i));
-    }
-  }
-
   PsimResult result;
   result.shards = shard_count;
   result.shards_requested = part.requested_shards();
   result.windows = windows;
   result.lookahead_s = part.lookahead();
   result.wall_s = wall_s;
-  result.query_ran = config_.query.enabled;
-  result.slo = world_->query.slo;
   for (int s = 0; s < shard_count; ++s) {
     const PsimShard& shard = *shards_[static_cast<size_t>(s)];
     result.shard_stats.push_back(shard.stats());
@@ -554,58 +451,6 @@ MetricsSnapshot PsimEngine::BuildObsSnapshot(
     reg.PublishGauge(
         ShardMetricName(sid, "owned_nodes"),
         static_cast<double>(shards_[s]->owned_count()), GaugeMode::kMax);
-    if (config_.query.enabled) {
-      // Query-plane counters: canonical qp.* rows add to
-      // partition-invariant totals (exchange rows excepted, like the
-      // substrate's boundary/foreign split).
-      const QueryPlaneStats& qs = st.qp;
-      reg.PublishCounter("qp.hops", qs.hops);
-      reg.PublishCounter("qp.request_hops", qs.request_hops);
-      reg.PublishCounter("qp.qnode_hops", qs.qnode_hops);
-      reg.PublishCounter("qp.result_hops", qs.result_hops);
-      reg.PublishCounter("qp.home_arrivals", qs.home_arrivals);
-      reg.PublishCounter("qp.sector_results", qs.sector_results);
-      reg.PublishCounter("qp.replies", qs.replies);
-      reg.PublishCounter("qp.collections", qs.collections);
-      reg.PublishCounter("qp.retries", qs.retries);
-      reg.PublishCounter("qp.drops_loss", qs.drops_loss);
-      reg.PublishCounter("qp.drops_stuck", qs.drops_stuck);
-      reg.PublishCounter("qp.drops_dead", qs.drops_dead);
-      reg.PublishCounter("qp.drops_ttl", qs.drops_ttl);
-      reg.PublishCounter("qp.late_replies", qs.late_replies);
-      reg.PublishCounter("qp.boundary_frames", qs.boundary_frames);
-      reg.PublishCounter("qp.foreign_frames", qs.foreign_frames);
-      reg.PublishCounter("qp.remails", qs.remails);
-      reg.PublishCounter("qp.state_migrations", qs.state_migrations);
-      reg.PublishCounter(ShardMetricName(sid, "qp_hops"), qs.hops);
-      reg.PublishCounter(ShardMetricName(sid, "qp_boundary_frames"),
-                         qs.boundary_frames);
-      if (s == 0) {
-        // Sink-side serving/SLO tallies live in world state, not shard
-        // stats; publish them once so the merged snapshot carries the
-        // same rows the serial harness emits.
-        const QueryPlaneState& q = world_->query;
-        reg.PublishCounter("workload.issued", q.slo.issued);
-        reg.PublishCounter("workload.completed", q.slo.completed);
-        reg.PublishCounter("workload.deadline_missed",
-                           q.slo.deadline_missed);
-        reg.PublishCounter("workload.rejected", q.slo.rejected);
-        reg.PublishCounter("workload.timed_out", q.slo.timed_out);
-        reg.PublishGauge("workload.peak_inflight",
-                         static_cast<double>(q.slo.peak_inflight),
-                         GaugeMode::kMax);
-        reg.PublishCounter("serving.cache_hits", q.serving.cache_hits);
-        reg.PublishCounter("serving.cache_misses", q.serving.cache_misses);
-        reg.PublishCounter("serving.cache_expired",
-                           q.serving.cache_expired);
-        reg.PublishCounter("serving.cache_insertions",
-                           q.serving.cache_insertions);
-        reg.PublishCounter("serving.coalesced", q.serving.coalesced);
-        reg.PublishCounter("serving.fanned_out", q.serving.fanned_out);
-        reg.PublishCounter("serving.shed", q.serving.shed);
-        reg.PublishCounter("serving.shed_probes", q.serving.shed_probes);
-      }
-    }
     snaps.push_back(reg.Snapshot());
   }
   return MergeShardSnapshots(snaps);

@@ -1,4 +1,7 @@
-// Conservative parallel discrete-event engine (PDES) for the substrate.
+// Conservative parallel discrete-event engine (PDES) for the beacon
+// substrate. It carries no query traffic: DIKNN and the baselines run on
+// the serial engine only, and the harness rejects a query workload on
+// this engine (docs/ENGINE.md).
 //
 // PsimEngine builds a PsimWorld (nodes, mobility, the tiled
 // FieldPartition), hands each tile to a PsimShard with its own
@@ -18,11 +21,12 @@
 // before window k+1, and no null messages are needed — the barrier IS
 // the null message, amortized over every pair at once.
 //
-// Determinism contract (docs/ENGINE.md): the serial engine remains the
-// anchor — `--shards 1` in the harness runs the serial path unchanged —
-// and within psim every partition-invariant counter (frames, collisions,
-// losses, neighbor updates, query-plane hops, the full SloReport) is
-// byte-equal across shard counts, enforced by psim_determinism_test.
+// Determinism contract (docs/ENGINE.md): `--shards 1` in the harness
+// runs the serial path unchanged, and within psim every
+// partition-invariant counter (frames, CSMA outcomes, receptions,
+// collisions, losses, neighbor updates) and every deterministic
+// flight-recorder series is byte-equal across shard counts, enforced by
+// psim_determinism_test.
 
 #ifndef DIKNN_PSIM_ENGINE_H_
 #define DIKNN_PSIM_ENGINE_H_
@@ -50,8 +54,6 @@ struct PsimResult {
   double lookahead_s = 0.0;
   double wall_s = 0.0;                    ///< Run() wall-clock seconds.
   double average_degree = 0.0;            ///< Mean fresh neighbors at end.
-  bool query_ran = false;                 ///< Query plane was enabled.
-  SloReport slo;                          ///< Query-plane outcome (if ran).
   /// Flight recording (empty unless PsimConfig::ts enables a cadence).
   /// Deterministic series are bit-identical across shard counts; the
   /// psim.shardK.* diagnostics are not (busy_s precedent).

@@ -47,14 +47,11 @@ PsimStats& PsimStats::operator+=(const PsimStats& o) {
   windows += o.windows;
   audit_probes += o.audit_probes;
   audit_mismatches += o.audit_mismatches;
-  qp += o.qp;
   steady_allocs += o.steady_allocs;
   steady_alloc_bytes += o.steady_alloc_bytes;
   busy_s += o.busy_s;
   barrier_wait_s += o.barrier_wait_s;
   frames_mailbox_hwm = std::max(frames_mailbox_hwm, o.frames_mailbox_hwm);
-  queries_mailbox_hwm =
-      std::max(queries_mailbox_hwm, o.queries_mailbox_hwm);
   migrations_mailbox_hwm =
       std::max(migrations_mailbox_hwm, o.migrations_mailbox_hwm);
   return *this;
@@ -93,28 +90,12 @@ PsimShard::PsimShard(PsimWorld* world, int id)
   delivery_order_.reserve(frame_bound);
   interferers_.reserve(4096);
   receivers_.reserve(4096);
-  if (world_->config.query.enabled) {
-    // Query slots grow to their per-window high water early in the run
-    // (arrival rates are steady), so a modest reserve suffices for the
-    // steady-state allocation gate.
-    for (std::vector<PsimQueryFrame>& slot : qslots_) slot.reserve(64);
-    qorder_.reserve(256);
-    // Pre-warm the itinerary scratch at the workload's largest radius so
-    // per-hop Rebuild calls never grow its segment buffers.
-    ItineraryParams params;
-    params.radius = std::max<double>(world_->query.max_radius, 1.0);
-    params.num_sectors =
-        std::max(1, world_->query.config.diknn.num_sectors);
-    params.width = std::max(world_->query.itinerary_width, 1e-3);
-    itinerary_scratch_.Rebuild(params);
-  }
 }
 
 PsimShard::NeighborInbox* PsimShard::CreateInbox(int from) {
   inboxes_.push_back(std::make_unique<NeighborInbox>(
       from, world_->FrameMailboxCapacity(),
-      world_->MigrationMailboxCapacity(),
-      world_->QueryMailboxCapacity()));
+      world_->MigrationMailboxCapacity()));
   return inboxes_.back().get();
 }
 
@@ -288,21 +269,8 @@ void PsimShard::SweepIfDue(uint64_t k) {
   ++stats_.sweeps;
   const SimTime now = k * part.lookahead();
   migrated_out_.clear();
-  const bool query_enabled = world_->config.query.enabled;
   for (const uint32_t i : owned_) {
     PsimNode& n = world_->nodes[i];
-    if (!world_->alive[i]) continue;
-    if (!world_->kill_window.empty() && world_->kill_window[i] <= k) {
-      // Node fault: silence it in place. The bucket entry stays (the
-      // corpse keeps its last cell), but no event ever fires again and
-      // receivers/collectors skip it via the alive flag.
-      world_->alive[i] = 0;
-      if (n.event != 0) {
-        sim_.Cancel(n.event);
-        n.event = 0;
-      }
-      continue;
-    }
     n.neighbors.Expire(now);
     const Point pos = n.mobility->PositionAt(now);
     const int32_t cell = part.CellOf(pos);
@@ -321,12 +289,6 @@ void PsimShard::SweepIfDue(uint64_t k) {
     NeighborInbox* box = RequireOutbox(owner);
     sim_.Cancel(n.event);
     n.event = 0;
-    if (query_enabled && world_->query.roles[i] > 0) {
-      // The node carries live query state (home merge state or the sink
-      // front end); the mailbox's release/acquire pair hands every prior
-      // write to the new owner before its first read.
-      ++stats_.qp.state_migrations;
-    }
     box->migrations.Push(i);
     ++stats_.migrations_out;
     migrated_out_.push_back(i);
@@ -339,27 +301,6 @@ void PsimShard::SweepIfDue(uint64_t k) {
                                                    i) != migrated_out_.end();
                                 }),
                  owned_.end());
-    if (query_enabled) {
-      // A migrating node's pending query frames travel with it. The new
-      // owner's drain of this same window files them, and no frame
-      // applies *on* a sweep window (SkipSweepWindow), so every
-      // forwarded frame is re-filed strictly before its apply window —
-      // application timing stays a pure function of the traffic.
-      for (auto& slot : qslots_) {
-        size_t kept = 0;
-        for (const PsimQueryFrame& f : slot) {
-          if (std::find(migrated_out_.begin(), migrated_out_.end(),
-                        f.dest) == migrated_out_.end()) {
-            slot[kept++] = f;
-            continue;
-          }
-          RequireOutbox(part.OwnerOfCell(world_->nodes[f.dest].cell))
-              ->queries.Push(f);
-          ++stats_.qp.boundary_frames;
-        }
-        slot.resize(kept);
-      }
-    }
   }
   // Ownership audit probe: a shard-RNG spot check that the partition
   // mapping and the owned list agree. Uses the per-shard stream forked
@@ -411,30 +352,6 @@ void PsimShard::DrainMailboxes(uint64_t k) {
         std::max(stats_.frames_mailbox_hwm, box->frames.SizeApprox());
     box->frames.Drain(chain);
   }
-
-  if (world_->config.query.enabled) {
-    const auto file = [this](const PsimQueryFrame& f) {
-      ++stats_.qp.foreign_frames;
-      // The destination may have migrated in this window's sweep while
-      // the frame sat in the mailbox; pass it straight on. The current
-      // owner drains it no later than next window, still ahead of the
-      // frame's apply window (never a sweep window), so the relay costs
-      // no simulated time.
-      const int owner =
-          world_->partition.OwnerOfCell(world_->nodes[f.dest].cell);
-      if (owner != id_) {
-        RequireOutbox(owner)->queries.Push(f);
-        ++stats_.qp.boundary_frames;
-        return;
-      }
-      qslots_[f.window % kQuerySlotCount].push_back(f);
-    };
-    for (const auto& box : inboxes_) {
-      stats_.queries_mailbox_hwm =
-          std::max(stats_.queries_mailbox_hwm, box->queries.SizeApprox());
-      box->queries.Drain(file);
-    }
-  }
 }
 
 void PsimShard::DrainRemaining() {
@@ -445,20 +362,13 @@ void PsimShard::DrainRemaining() {
   // *when* a frame is drained can race benignly against the producer's
   // process phase.
   const auto count = [this](const PsimFrame&) { ++stats_.foreign_frames; };
-  const auto count_query = [this](const PsimQueryFrame&) {
-    ++stats_.qp.foreign_frames;
-  };
-  for (const auto& box : inboxes_) {
-    box->frames.Drain(count);
-    box->queries.Drain(count_query);
-  }
+  for (const auto& box : inboxes_) box->frames.Drain(count);
 }
 
 void PsimShard::ProcessWindow(uint64_t k) {
   current_window_ = k;
   ++stats_.windows;
   if (k >= 2) DeliverWindow(k - 2);
-  if (world_->config.query.enabled) ProcessQueryWindow(k);
   sim_.RunBefore((k + 1) * world_->partition.lookahead());
 }
 
@@ -538,8 +448,7 @@ void PsimShard::DeliverFrame(const PsimFrame& f, SimTime now) {
       if (x < 0 || x >= part.nx()) continue;
       if (part.OwnerAt(x, y) != id_) continue;
       for (const uint32_t i : world_->cell_nodes[y * part.nx() + x]) {
-        // Dead nodes keep their bucket entry but never receive.
-        if (i != f.sender && world_->alive[i]) receivers_.push_back(i);
+        if (i != f.sender) receivers_.push_back(i);
       }
     }
   }
@@ -594,10 +503,7 @@ bool PsimShard::OwnershipInvariantHolds() const {
   for (const uint32_t i : owned_) {
     const PsimNode& n = world_->nodes[i];
     if (world_->partition.OwnerOfCell(n.cell) != id_) return false;
-    // Dead nodes hold no event but stay bucketed at their last cell.
-    if (world_->alive[i] && (n.event == 0 || !sim_.IsPending(n.event))) {
-      return false;
-    }
+    if (n.event == 0 || !sim_.IsPending(n.event)) return false;
     const std::vector<uint32_t>& bucket = world_->cell_nodes[n.cell];
     if (std::count(bucket.begin(), bucket.end(), i) != 1) return false;
   }

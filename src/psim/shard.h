@@ -1,10 +1,10 @@
 // One shard of the parallel substrate simulation: a rectangular tile of
 // the field, its nodes, its own timer-wheel Simulator, and the per-window
-// exchange (boundary frames, node migrations, unicast query frames) with
-// the adjacent shards.
+// exchange (boundary frames, node migrations) with the adjacent shards.
 //
-// The shard simulates the beacon substrate (the traffic that dominates
-// large fields): every node runs the 802.15.4 unslotted CSMA-CA dance —
+// The shard simulates the beacon substrate only (the traffic that
+// dominates large fields); DIKNN and the baselines run on the serial
+// engine. Every node runs the 802.15.4 unslotted CSMA-CA dance —
 // random backoff, carrier sense, broadcast — through a PHY model whose
 // visibility is quantized to the conservative lookahead window L:
 //
@@ -14,16 +14,11 @@
 //     transmission that could overlap it (windows k-1..k+1; frame
 //     duration <= L) is known on all shards.
 //
-// On top of the substrate, the shard runs the query plane
-// (psim/query_plane.h): GPSR greedy forwarding and DIKNN itinerary
-// traversal as window-stamped unicast frames, applied at their
-// destination's owner in global (t, sender, seq) order.
-//
 // The quantization applies uniformly — to frames from the local tile
 // and to frames mailed across a boundary alike — which is what makes
 // every traffic counter an exact function of (seed, config), independent
 // of the shard count: psim with --shards 8 counts the same frames,
-// collisions, losses, query hops and SLO outcomes as psim with
+// collisions, losses and neighbor updates as psim with
 // --shards 1 (asserted by psim_determinism_test). Randomness follows the
 // same rule: every draw that affects traffic comes from a per-node
 // stream forked from (seed, node id) or a stateless per-frame hash; the
@@ -49,14 +44,12 @@
 
 #include "core/alloc_probe.h"
 #include "core/rng.h"
-#include "knn/itinerary.h"
 #include "obs/timeseries.h"
 #include "net/mac.h"
 #include "net/mobility.h"
 #include "net/neighbor_table.h"
 #include "psim/mailbox.h"
 #include "psim/partition.h"
-#include "psim/query_plane.h"
 #include "sim/simulator.h"
 
 namespace diknn {
@@ -81,12 +74,6 @@ struct PsimConfig {
   /// Boundary-frame ring capacity per (pair, direction); 0 = sized from
   /// node_count. Migration rings are always sized from node_count.
   size_t frame_mailbox_capacity = 0;
-  /// Query plane (disabled by default: substrate only).
-  QueryPlaneConfig query;
-  /// Node-fault schedule: (time s, node id) pairs. A node dies at the
-  /// first sweep window at or after its time — sweeps are global sync
-  /// points, so the fault lands identically at every shard count.
-  std::vector<std::pair<double, uint32_t>> node_kills;
   /// Flight-recorder cadence/capacity. Sampling happens in the window
   /// barrier's completion step — a global sync point — so deterministic
   /// series read partition-invariant sums race-free and bit-identically
@@ -152,8 +139,6 @@ struct PsimStats {
   uint64_t windows = 0;
   uint64_t audit_probes = 0;      ///< Shard-RNG ownership spot checks.
   uint64_t audit_mismatches = 0;  ///< Must stay 0.
-  /// Query-plane counters (invariant block + exchange block inside).
-  QueryPlaneStats qp;
   // Steady-state allocation tallies (second half of the run).
   uint64_t steady_allocs = 0;
   uint64_t steady_alloc_bytes = 0;
@@ -169,7 +154,6 @@ struct PsimStats {
   /// phase by design — load-imbalance observability for the bench, never
   /// part of the obs snapshot or the invariant comparison.
   uint64_t frames_mailbox_hwm = 0;
-  uint64_t queries_mailbox_hwm = 0;
   uint64_t migrations_mailbox_hwm = 0;
 
   PsimStats& operator+=(const PsimStats& o);
@@ -180,7 +164,6 @@ struct PsimStats {
     uint64_t receptions_attempted, receptions_delivered;
     uint64_t receptions_collided, receptions_lost;
     uint64_t candidates_scanned, neighbor_updates;
-    QueryPlaneStats::Invariants qp;
     bool operator==(const Invariants&) const = default;
   };
   Invariants InvariantCounters() const {
@@ -188,8 +171,7 @@ struct PsimStats {
             csma_busy,            csma_failures,
             receptions_attempted, receptions_delivered,
             receptions_collided,  receptions_lost,
-            candidates_scanned,   neighbor_updates,
-            qp.InvariantCounters()};
+            candidates_scanned,   neighbor_updates};
   }
 };
 
@@ -203,13 +185,6 @@ struct PsimWorld {
   std::vector<PsimNode> nodes;
   /// Node indices bucketed per grid cell.
   std::vector<std::vector<uint32_t>> cell_nodes;
-  /// 1 while the node is up. Written only at sweep windows (by the
-  /// owner), read freely in process phases — barrier-separated.
-  std::vector<uint8_t> alive;
-  /// First sweep window at which the node dies; empty = no faults.
-  std::vector<uint64_t> kill_window;
-  /// Query-plane state (schedule, per-query state, sink-side serving).
-  QueryPlaneState query;
 
   PsimWorld(const PsimConfig& cfg, const PsimNetParams& net)
       : config(cfg), partition(net, cfg.shards) {}
@@ -229,36 +204,20 @@ struct PsimWorld {
     return std::max<size_t>(1024,
                             static_cast<size_t>(config.node_count));
   }
-  /// Query-frame ring capacity: concurrent query frames are bounded by
-  /// the admission bound times the sector fan-out (plus retries), and a
-  /// frame stays undrained for at most two windows.
-  size_t QueryMailboxCapacity() const {
-    if (!config.query.enabled) return 16;
-    const int sectors = std::max(1, config.query.diknn.num_sectors);
-    const int inflight = config.query.spec.max_inflight;
-    return std::max<size_t>(
-        4096, inflight > 0 ? static_cast<size_t>(8 * sectors * inflight)
-                           : 4096);
-  }
 };
 
 class PsimShard {
  public:
-  /// Everything one shard consumes from one adjacent producer: the three
+  /// Everything one shard consumes from one adjacent producer: the two
   /// SPSC rings of the per-window exchange. Created by the engine wiring
   /// pass, one per (producer, consumer) edge of the tile adjacency.
   struct NeighborInbox {
     int from;  ///< Producer shard id.
     SpscMailbox<PsimFrame> frames;
     SpscMailbox<uint32_t> migrations;
-    SpscMailbox<PsimQueryFrame> queries;
 
-    NeighborInbox(int from_shard, size_t frame_cap, size_t migration_cap,
-                  size_t query_cap)
-        : from(from_shard),
-          frames(frame_cap),
-          migrations(migration_cap),
-          queries(query_cap) {}
+    NeighborInbox(int from_shard, size_t frame_cap, size_t migration_cap)
+        : from(from_shard), frames(frame_cap), migrations(migration_cap) {}
   };
 
   PsimShard(PsimWorld* world, int id);
@@ -284,21 +243,18 @@ class PsimShard {
 
   // --- Window phases, driven by the engine's worker loop. ---------------
 
-  /// Phase A (between the two barriers): on sweep windows, apply due
-  /// node faults, re-bucket every owned node at the window boundary,
-  /// mail nodes whose bucket moved to another tile, expire neighbor
-  /// tables, and run an ownership audit probe off the shard RNG.
+  /// Phase A (between the two barriers): on sweep windows, re-bucket
+  /// every owned node at the window boundary, mail nodes whose bucket
+  /// moved to another tile, expire neighbor tables, and run an ownership
+  /// audit probe off the shard RNG.
   void SweepIfDue(uint64_t k);
 
-  /// Phase B.1: adopt migrated-in nodes, chain drained boundary frames
-  /// into the window slots, and file drained query frames by their
-  /// application window.
+  /// Phase B.1: adopt migrated-in nodes and chain drained boundary
+  /// frames into the window slots.
   void DrainMailboxes(uint64_t k);
 
-  /// Phase B.2: decide receptions for the frames of window k-2, apply
-  /// this window's query frames in (t, sender, seq) order (and run sink
-  /// duties when this shard owns the sink), then run this shard's events
-  /// scheduled inside [kL, (k+1)L).
+  /// Phase B.2: decide receptions for the frames of window k-2, then run
+  /// this shard's events scheduled inside [kL, (k+1)L).
   void ProcessWindow(uint64_t k);
 
   /// After the final window (and a final barrier): consume frames mailed
@@ -327,9 +283,8 @@ class PsimShard {
   size_t owned_count() const { return owned_.size(); }
 
   /// True when every owned node's bucket cell maps back to this shard
-  /// and its pending event is live (dead nodes keep their bucket but
-  /// hold no event). Test hook (call between runs or after Run; not
-  /// thread-safe against the worker loop).
+  /// and its pending event is live. Test hook (call between runs or
+  /// after Run; not thread-safe against the worker loop).
   bool OwnershipInvariantHolds() const;
 
   /// Deterministic per-shard seed; the resulting stream feeds only the
@@ -378,46 +333,6 @@ class PsimShard {
   /// means the partition's adjacency guarantee was violated.
   NeighborInbox* RequireOutbox(int shard);
 
-  // --- Query plane (psim/query_plane.cc). -------------------------------
-  void ProcessQueryWindow(uint64_t k);
-  void ApplyQueryFrame(const PsimQueryFrame& f, uint64_t k, SimTime now);
-  void HandleRequest(const PsimQueryFrame& f, SimTime now);
-  void HandleHomeArrival(uint32_t query, uint32_t v, SimTime now);
-  void HandleItinerary(const PsimQueryFrame& f, SimTime now);
-  void HandleSectorResult(const PsimQueryFrame& f, SimTime now);
-  void HandleReply(const PsimQueryFrame& f, SimTime now);
-  void SendReply(uint32_t query, uint32_t home, SimTime now);
-  /// Picks the next hop toward (`target_node` at ~`target_point`) from
-  /// node `v` and sends `f` (or drops at a dead end). `f->dest` is set.
-  void SendToward(PsimQueryFrame* f, uint32_t v, uint32_t target_node,
-                  const Point& target_point, SimTime now);
-  /// Stamps sender/seq/t/window and routes (local slot or neighbor
-  /// mailbox). `delay_windows` >= 1 keeps cross-shard causality.
-  void SendQueryFrame(PsimQueryFrame* f, uint32_t from_node,
-                      uint32_t delay_windows);
-  void RouteQueryFrame(const PsimQueryFrame& f);
-  bool QueryLossDraw(const PsimQueryFrame& f) const;
-  /// Collects `v` and its fresh neighbors into a candidate set.
-  void CollectAt(uint32_t v, const PsimQuery& query, SimTime now,
-                 uint16_t* ncand,
-                 std::array<QueryCandidate, kMaxQueryCandidates>* cand,
-                 uint32_t* found);
-  /// True + the advanced progress/hop when the sector itinerary
-  /// continues from `v`; false when the sector is exhausted.
-  bool NextItineraryHop(const PsimQuery& query, int sector, uint32_t v,
-                        const Point& pos, uint32_t prev, SimTime now,
-                        float* progress, NeighborEntry* next);
-  // Sink duties (only the shard owning the sink node runs these).
-  void ProcessSink(uint64_t k, SimTime now);
-  void AdmitArrival(uint32_t query, SimTime now);
-  void LaunchQuery(uint32_t query, SimTime now);
-  void ResolveFromReply(const PsimQueryFrame& f, SimTime now);
-  void RecordFinished(PsimQuery* q, SimTime now);
-  void ResolveFollowers(PsimQuery* leader, SimTime now, bool timed_out);
-  void TimeOutActive(size_t active_index, SimTime now);
-  void DrainAdmissionQueue(SimTime now);
-  Point SinkTargetPoint() const;
-
   PsimWorld* world_;
   int id_;
 
@@ -429,8 +344,6 @@ class PsimShard {
 
   std::vector<uint32_t> owned_;  ///< Node indices owned by this shard.
   std::array<WindowSlot, 4> slots_;
-  /// Query frames filed by application window (window % kQuerySlotCount).
-  std::array<std::vector<PsimQueryFrame>, kQuerySlotCount> qslots_;
 
   // Exchange links (created by the engine wiring pass).
   std::vector<std::unique_ptr<NeighborInbox>> inboxes_;
@@ -441,8 +354,6 @@ class PsimShard {
   std::vector<const PsimFrame*> interferers_;
   std::vector<uint32_t> receivers_;
   std::vector<uint32_t> migrated_out_;
-  std::vector<uint32_t> qorder_;             ///< Query frame permutation.
-  Itinerary itinerary_scratch_;
 };
 
 }  // namespace diknn

@@ -9,10 +9,34 @@
 #include "core/logging.h"
 #include "net/packet_pool.h"
 #include "obs/tracer.h"
-#include "routing/greedy.h"
 #include "routing/planarize.h"
 
 namespace diknn {
+
+namespace {
+
+// Picks the entry of `neighbors` strictly closer to `dest` than
+// `self_distance`, minimizing the remaining distance. `prev_hop` is
+// excluded: with beacon-stale positions the previous hop can look closer
+// than it is and cause A<->B ping-pong until the TTL burns out. Returns
+// nullptr at a local minimum (no strictly closer neighbor).
+const NeighborEntry* GreedyNextHop(const std::vector<NeighborEntry>& neighbors,
+                                   const Point& dest, double self_distance,
+                                   NodeId prev_hop) {
+  const NeighborEntry* best = nullptr;
+  double best_d = self_distance;
+  for (const NeighborEntry& n : neighbors) {
+    if (n.id == prev_hop) continue;
+    const double d = Distance(n.position, dest);
+    if (d < best_d) {
+      best_d = d;
+      best = &n;
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 size_t GeoRoutedMessage::WireBytes() const {
   // destination + mode/ttl + perimeter entry point + two node ids + list
@@ -184,8 +208,7 @@ void GpsrRouting::Forward(Node* node, std::shared_ptr<GeoRoutedMessage> msg,
 
   if (msg->mode == GeoRoutedMessage::Mode::kGreedy) {
     // Greedy: strictly closer neighbor with the best progress, previous
-    // hop excluded (routing/greedy.h — the same rule the parallel query
-    // plane applies, so forwarding behaviour is engine-independent).
+    // hop excluded.
     const NeighborEntry* best =
         GreedyNextHop(neighbors, dest, d_self, msg->prev_hop);
     if (best != nullptr) {

@@ -10,15 +10,14 @@
 //   3. Repeating a sharded run reproduces it exactly, and the
 //      steady-state allocation gate (net.allocs == 0) holds on every
 //      worker thread.
+//   4. The flight recorder's deterministic net.* series and the filtered
+//      obs snapshot (InvariantObsJson) are byte-equal across shard counts.
 //
-//   4. The query plane rides the same contract: with a workload spec the
-//      SloReport, every qp.* invariant counter, and the filtered obs
-//      snapshot (InvariantObsJson) are byte-equal across shard counts,
-//      with node kills and per-hop losses in play.
-//
-// The sharded soaks here double as the TSan workload: run this binary
-// under the tsan preset to sweep the barrier/mailbox protocol (query
-// mailboxes and state migration included).
+// psim runs the beacon substrate only; a query workload on it is a
+// precondition failure of RunOnce. The mobile substrate soak of
+// contract 4 is the designated TSan workload: run this binary under the
+// tsan preset to sweep the barrier/mailbox protocol, node migrations
+// included.
 
 #include <cstdint>
 #include <string>
@@ -27,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "obs/timeseries.h"
 #include "psim/engine.h"
 #include "workload/workload_spec.h"
 
@@ -123,6 +123,22 @@ TEST(PsimDeterminismTest, SteadyStateAllocationFreeOnEveryShard) {
             result.totals.frames_sent);
 }
 
+// The paper's node density over a long mobile run: random waypoint
+// drifts nodes toward the field centre until the centre's cell buckets
+// outgrow their uniform start. No bucket may regrow in steady state.
+TEST(PsimDeterminismTest, LongMobileRunAllocationFree) {
+  PsimConfig config;
+  config.node_count = 512;
+  config.field = Rect::Field(184.0, 184.0);
+  config.duration = 40.0;
+  config.shards = 2;
+  config.ts = TimeSeriesOptions{1.0, 64};  // Ring wraps in steady state.
+  const PsimResult result = RunPsim(config);
+  ASSERT_EQ(result.shards, 2);
+  EXPECT_GT(result.totals.migrations_out, 0u);
+  EXPECT_EQ(result.obs.CounterValue("net.allocs"), 0u);
+}
+
 // --- Contract 1: the harness's --shards 1 is byte-equal to the serial
 // --- path, SloReport and obs snapshot included. ----------------------
 
@@ -162,91 +178,33 @@ TEST(PsimDeterminismTest, ShardsOneIsTheSerialEngineBitForBit) {
   EXPECT_EQ(a.obs.ToJson(), b.obs.ToJson());
 }
 
-// --- Contract 4: query-plane soak — 200+ mixed-class queries over GPSR
-// --- + DIKNN itineraries, with kills and losses, across shard counts.
+// --- Contract 4: a longer mobile substrate soak with the flight
+// --- recorder on. Deterministic series sampled at window boundaries and
+// --- the invariant obs subset are byte-equal across shard counts.
 
-PsimConfig QuerySoakConfig() {
-  PsimConfig config;
-  config.node_count = 1024;
-  config.field = Rect::Field(560.0, 115.0);
-  config.beacon_interval = 0.1;
-  config.loss_rate = 0.03;  // Per-hop query losses -> retries.
-  config.duration = 2.5;
-  config.seed = 42;
-  // Kills land mid-run on nodes that carry traffic (never the sink).
-  config.node_kills = {{0.6, 101}, {0.9, 333}, {1.4, 512}, {1.4, 700}};
-  std::string error;
-  const auto spec = WorkloadSpec::Parse(
-      "arrival@kind=poisson,rate=100;mix@knn=50,window=25,aggregate=25;"
-      "k@lo=4,hi=12;deadline@s=1.0;admit@inflight=48,queue=32;"
-      "cache@ttl=0.4;coalesce@window=0.15",
-      &error);
-  EXPECT_TRUE(spec.has_value()) << error;
-  config.query.enabled = true;
-  config.query.spec = *spec;
-  config.query.sink = 0;
-  config.query.warmup = 0.2;  // Let neighbor tables fill first.
+PsimConfig SubstrateSoakConfig() {
+  PsimConfig config = WideConfig();
+  config.loss_rate = 0.03;
+  config.duration = 2.5;  // Ten sweeps: nodes migrate between tiles.
+  config.ts = TimeSeriesOptions{0.25, 256};
   return config;
 }
 
-TEST(PsimDeterminismTest, QueryPlaneInvariantAcrossShardCounts) {
-  PsimConfig config = QuerySoakConfig();
-  config.shards = 1;
-  const PsimResult anchor = RunPsim(config);
-
-  // The soak must genuinely exercise the plane: hundreds of mixed-class
-  // queries, itinerary traversals, merges, replies, and lossy retries.
-  ASSERT_GE(anchor.slo.issued, 200u);
-  ASSERT_GT(anchor.slo.completed, 0u);
-  ASSERT_GT(anchor.totals.qp.home_arrivals, 0u);
-  ASSERT_GT(anchor.totals.qp.qnode_hops, 0u);
-  ASSERT_GT(anchor.totals.qp.sector_results, 0u);
-  ASSERT_GT(anchor.totals.qp.replies, 0u);
-  ASSERT_GT(anchor.totals.qp.retries, 0u);
-  const std::string anchor_slo = anchor.slo.ToJson();
-  const std::string anchor_obs = InvariantObsJson(anchor.obs);
-
-  for (int shards : {2, 4, 8}) {
-    config.shards = shards;
-    PsimEngine engine(config);
-    ASSERT_EQ(engine.shards(), shards) << "field too narrow for test";
-    const PsimResult result = engine.Run();
-    EXPECT_EQ(result.slo.ToJson(), anchor_slo) << "shards=" << shards;
-    EXPECT_EQ(InvariantObsJson(result.obs), anchor_obs)
-        << "shards=" << shards;
-    EXPECT_EQ(result.totals.qp.InvariantCounters(),
-              anchor.totals.qp.InvariantCounters())
-        << "query traffic drifted at shards=" << shards;
-    // Query frames really cross shard mailboxes, and the exchange
-    // balances (drained remails re-enter the boundary tally).
-    EXPECT_GT(result.totals.qp.boundary_frames, 0u);
-    EXPECT_EQ(result.totals.qp.boundary_frames,
-              result.totals.qp.foreign_frames);
-    // The allocation gate holds with query traffic in the mailboxes.
-    for (size_t s = 0; s < result.shard_stats.size(); ++s) {
-      EXPECT_EQ(result.shard_stats[s].steady_allocs, 0u)
-          << "shard " << s << " allocated with queries enabled";
-    }
-    EXPECT_TRUE(engine.OwnershipInvariantHolds());
-  }
-}
-
-// --- Contract 4, flight-recorder extension: the deterministic series
-// --- sampled at window boundaries are byte-equal across shard counts.
-
 TEST(PsimDeterminismTest, FlightRecordingInvariantAcrossShardCounts) {
-  PsimConfig config = QuerySoakConfig();
-  config.ts = TimeSeriesOptions{0.25, 256};
+  PsimConfig config = SubstrateSoakConfig();
   config.shards = 1;
   const PsimResult anchor = RunPsim(config);
 
   // The recording must carry real data, not just empty series.
-  ASSERT_FALSE(anchor.ts.series().empty());
-  const TimeSeries* issued = anchor.ts.Find("workload.issued_per_s");
-  ASSERT_NE(issued, nullptr);
-  ASSERT_GT(issued->size(), 2u);
-  EXPECT_GT(issued->Max(), 0.0);
+  for (const char* name : {"net.frames_per_s", "net.airtime_share",
+                           "net.collision_rate", "net.loss_rate"}) {
+    const TimeSeries* series = anchor.ts.Find(name);
+    ASSERT_NE(series, nullptr) << name;
+    ASSERT_GT(series->size(), 2u) << name;
+    EXPECT_GT(series->Max(), 0.0) << name;
+  }
   const std::string anchor_json = anchor.ts.DeterministicJson();
+  const std::string anchor_obs = InvariantObsJson(anchor.obs);
 
   for (int shards : {2, 4, 8}) {
     config.shards = shards;
@@ -255,6 +213,15 @@ TEST(PsimDeterminismTest, FlightRecordingInvariantAcrossShardCounts) {
     const PsimResult result = engine.Run();
     EXPECT_EQ(result.ts.DeterministicJson(), anchor_json)
         << "recording drifted at shards=" << shards;
+    EXPECT_EQ(InvariantObsJson(result.obs), anchor_obs)
+        << "shards=" << shards;
+    EXPECT_GT(result.totals.migrations_out, 0u) << "shards=" << shards;
+    EXPECT_EQ(result.totals.migrations_out, result.totals.migrations_in);
+    for (size_t s = 0; s < result.shard_stats.size(); ++s) {
+      EXPECT_EQ(result.shard_stats[s].steady_allocs, 0u)
+          << "shard " << s << " at shards=" << shards;
+    }
+    EXPECT_TRUE(engine.OwnershipInvariantHolds());
     // Each shard contributes its own diagnostic occupancy series; those
     // are partition-dependent by design and live outside the contract.
     size_t shard_series = 0;
@@ -264,24 +231,6 @@ TEST(PsimDeterminismTest, FlightRecordingInvariantAcrossShardCounts) {
       }
     }
     EXPECT_GT(shard_series, 0u) << "shards=" << shards;
-  }
-}
-
-TEST(PsimDeterminismTest, QueryPlaneShardedRunRepeatsExactly) {
-  PsimConfig config = QuerySoakConfig();
-  config.shards = 4;
-  const PsimResult a = RunPsim(config);
-  const PsimResult b = RunPsim(config);
-  EXPECT_EQ(a.slo.ToJson(), b.slo.ToJson());
-  EXPECT_EQ(a.obs.ToJson(), b.obs.ToJson());  // Full snapshot this time.
-  ASSERT_EQ(a.shard_stats.size(), b.shard_stats.size());
-  for (size_t s = 0; s < a.shard_stats.size(); ++s) {
-    EXPECT_EQ(a.shard_stats[s].qp.InvariantCounters(),
-              b.shard_stats[s].qp.InvariantCounters());
-    EXPECT_EQ(a.shard_stats[s].qp.boundary_frames,
-              b.shard_stats[s].qp.boundary_frames);
-    EXPECT_EQ(a.shard_stats[s].qp.state_migrations,
-              b.shard_stats[s].qp.state_migrations);
   }
 }
 
@@ -311,6 +260,17 @@ TEST(PsimDeterminismTest, HarnessShardedRunReportsSubstrateMetrics) {
   const RunMetrics again = RunOnce(config, 42);
   EXPECT_EQ(m.obs.ToJson(), again.obs.ToJson());
   EXPECT_EQ(m.average_degree, again.average_degree);
+}
+
+// psim carries no query traffic, so RunOnce refuses a workload on it
+// rather than quietly reporting the substrate in its place.
+TEST(PsimDeterminismDeathTest, RunOnceRejectsWorkloadOnWindowedEngine) {
+  ExperimentConfig sharded = SerialAnchorConfig();
+  sharded.shards = 2;
+  EXPECT_DEATH(RunOnce(sharded, 42), "serial engine only");
+  ExperimentConfig windowed = SerialAnchorConfig();
+  windowed.force_windowed = true;
+  EXPECT_DEATH(RunOnce(windowed, 42), "serial engine only");
 }
 
 }  // namespace

@@ -47,7 +47,9 @@ TEST(TimeSeriesTest, AddIsKeyedByNameAndPointersStayValid) {
   TimeSeries* first = set.Add("a");
   // Force enough growth that vector storage would have reallocated.
   for (int i = 0; i < 64; ++i) {
-    set.Add("s" + std::to_string(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    set.Add(name);
   }
   EXPECT_EQ(set.Add("a"), first);  // Same name -> same series.
   first->Append(0.0, 1.0);         // The early pointer must still be live.
@@ -169,8 +171,10 @@ TEST(FlightRecorderTest, ArtifactBitIdenticalAcrossJobs) {
 }
 
 TEST(FlightRecorderTest, DeterministicSeriesIdenticalAcrossShards) {
-  ExperimentConfig config = RecordedConfig();
+  // The windowed engine runs the beacon substrate only: no workload.
+  ExperimentConfig config;
   config.runs = 1;
+  config.ts_interval = 0.5;
   // A wide field so four real strips exist (psim geometry clamp).
   config.network.node_count = 512;
   config.network.field = Rect::Field(560.0, 115.0);
@@ -182,7 +186,12 @@ TEST(FlightRecorderTest, DeterministicSeriesIdenticalAcrossShards) {
   config.shards = 4;
   const ExperimentMetrics four = AggregateRuns(RunExperimentRuns(config));
 
-  ASSERT_FALSE(one.ts.series().empty());
+  for (const char* name : {"net.frames_per_s", "net.airtime_share"}) {
+    const TimeSeries* series = one.ts.Find(name);
+    ASSERT_NE(series, nullptr) << name;
+    ASSERT_GT(series->size(), 2u) << name;
+    EXPECT_GT(series->Max(), 0.0) << name;
+  }
   EXPECT_EQ(one.ts.DeterministicJson(), four.ts.DeterministicJson());
   // The per-shard diagnostics exist and legitimately differ in shape.
   bool has_shard_diag = false;

@@ -37,16 +37,18 @@ void PrintUsage(const char* argv0) {
       "  --jobs N          worker threads across repetitions (default 1;\n"
       "                    metrics are bit-identical at any job count)\n"
       "  --shards N        worker threads inside each run (default 1 =\n"
-      "                    the serial engine). > 1 tiles the field\n"
-      "                    (strips, or a 2-D grid on narrow fields) on\n"
-      "                    the conservative parallel engine (src/psim):\n"
-      "                    beacons plus — with --workload — the full\n"
-      "                    query plane; SLO report and traffic counters\n"
-      "                    equal at any shard count; total threads =\n"
-      "                    jobs x shards\n"
-      "  --windowed        run the windowed parallel engine even at\n"
-      "                    --shards 1 (the single-shard baseline for\n"
-      "                    cross-shard comparisons)\n"
+      "                    the serial engine, the only one that runs\n"
+      "                    queries). > 1 runs the beacon substrate alone\n"
+      "                    on the conservative parallel engine\n"
+      "                    (src/psim), tiling the field in strips or a\n"
+      "                    2-D grid: prints frames, receptions and\n"
+      "                    average degree, equal at any shard count;\n"
+      "                    rejects --workload, --faults, --audit,\n"
+      "                    --trace, --trace-out and --trace-sample;\n"
+      "                    total threads = jobs x shards\n"
+      "  --windowed        run the beacon substrate on the windowed\n"
+      "                    engine even at --shards 1 (the single-shard\n"
+      "                    reference for cross-shard comparisons)\n"
       "  --duration S      simulated seconds per run (default 100)\n"
       "  --seed N          base seed (default 42)\n"
       "  --interval S      mean query interval, exponential (default 4)\n"
@@ -117,6 +119,110 @@ std::optional<ProtocolKind> ParseProtocol(const std::string& name) {
   if (name == "flooding") return ProtocolKind::kFlooding;
   if (name == "centralized") return ProtocolKind::kCentralized;
   return std::nullopt;
+}
+
+// Writes the merged metrics (--metrics-out) and the base seed's flight
+// recording (--ts-out); an empty path skips that artifact.
+void WriteArtifacts(const ExperimentMetrics& agg,
+                    const std::string& metrics_out_path,
+                    const std::string& ts_out_path) {
+  if (!metrics_out_path.empty()) {
+    std::ofstream out(metrics_out_path);
+    out << agg.obs.ToJson() << '\n';
+    std::fprintf(stderr, "wrote merged metrics of %d run(s) to %s\n",
+                 agg.runs, metrics_out_path.c_str());
+  }
+  if (!ts_out_path.empty()) {
+    // The base seed's recording (runs[0]); independent of --jobs.
+    std::ofstream out(ts_out_path);
+    const bool as_csv =
+        ts_out_path.size() >= 4 &&
+        ts_out_path.compare(ts_out_path.size() - 4, 4, ".csv") == 0;
+    if (as_csv) {
+      agg.ts.WriteCsv(out);
+    } else {
+      agg.ts.WriteJson(out);
+    }
+    size_t samples = 0;
+    for (const TimeSeries& s : agg.ts.series()) samples += s.size();
+    std::fprintf(stderr, "wrote %zu series (%zu samples) to %s\n",
+                 agg.ts.series().size(), samples, ts_out_path.c_str());
+    if (agg.ts.series().empty()) {
+      std::fprintf(stderr,
+                   "note: flight recorder was disabled; pass "
+                   "--ts-interval or a timeseries@ workload clause\n");
+    }
+  }
+}
+
+// --shards N>1 / --windowed: the beacon substrate on the windowed engine.
+// There is no protocol and no query, so the output reports substrate
+// traffic instead of latency, energy and accuracy.
+int RunSubstrate(const ExperimentConfig& config, bool csv,
+                 const std::string& metrics_out_path,
+                 const std::string& ts_out_path) {
+  const std::vector<RunMetrics> runs = RunExperimentRuns(config);
+  const int shards = runs.front().shards_effective;
+  if (shards < runs.front().shards_requested) {
+    std::fprintf(stderr,
+                 "warning: --shards %d clamped to %d by the partition "
+                 "geometry (field too small for that many tiles)\n",
+                 runs.front().shards_requested, shards);
+  }
+  if (csv) {
+    std::printf("engine,shards,seed,frames,receptions_attempted,"
+                "receptions_delivered,avg_degree\n");
+  } else {
+    std::printf("beacon substrate (windowed engine, %d shard%s): %d run(s) "
+                "x %.0fs, %d nodes on %.0fx%.0f m, mu_max=%.0f m/s\n",
+                shards, shards == 1 ? "" : "s", config.runs,
+                config.duration, config.network.node_count,
+                config.network.field.Width(),
+                config.network.field.Height(), config.network.max_speed);
+  }
+  double frames_sum = 0.0, attempted_sum = 0.0, delivered_sum = 0.0;
+  double degree_sum = 0.0;
+  for (int i = 0; i < static_cast<int>(runs.size()); ++i) {
+    const uint64_t seed = config.base_seed + i;
+    const RunMetrics& m = runs[i];
+    const uint64_t frames = m.obs.CounterValue("psim.frames_sent");
+    const uint64_t attempted =
+        m.obs.CounterValue("psim.receptions_attempted");
+    const uint64_t delivered =
+        m.obs.CounterValue("psim.receptions_delivered");
+    frames_sum += static_cast<double>(frames);
+    attempted_sum += static_cast<double>(attempted);
+    delivered_sum += static_cast<double>(delivered);
+    degree_sum += m.average_degree;
+    if (csv) {
+      std::printf("windowed,%d,%llu,%llu,%llu,%llu,%.2f\n", shards,
+                  static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(frames),
+                  static_cast<unsigned long long>(attempted),
+                  static_cast<unsigned long long>(delivered),
+                  m.average_degree);
+    } else {
+      std::printf("  run %d (seed %llu): %llu frames, %llu receptions "
+                  "(%llu delivered), avg degree %.2f\n",
+                  i, static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(frames),
+                  static_cast<unsigned long long>(attempted),
+                  static_cast<unsigned long long>(delivered),
+                  m.average_degree);
+    }
+    std::fflush(stdout);
+  }
+  if (!csv) {
+    const double n = static_cast<double>(runs.size());
+    std::printf("mean: %.0f frames, %.0f receptions (%.0f delivered), "
+                "avg degree %.2f\n",
+                frames_sum / n, attempted_sum / n, delivered_sum / n,
+                degree_sum / n);
+  }
+  if (!metrics_out_path.empty() || !ts_out_path.empty()) {
+    WriteArtifacts(AggregateRuns(runs), metrics_out_path, ts_out_path);
+  }
+  return 0;
 }
 
 }  // namespace
@@ -259,6 +365,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "k, runs and nodes must be positive\n");
     return 2;
   }
+  // The windowed engine runs the beacon substrate only: refuse every
+  // option it would otherwise drop without a word.
+  const bool substrate = config.shards > 1 || config.force_windowed;
+  if (substrate) {
+    const char* serial_only =
+        config.workload.has_value()  ? "--workload"
+        : !config.faults.empty()     ? "--faults"
+        : config.audit_lifecycle     ? "--audit"
+        : !trace_path.empty()        ? "--trace"
+        : !trace_out_path.empty()    ? "--trace-out"
+        : trace_sample >= 0.0        ? "--trace-sample"
+                                     : nullptr;
+    if (serial_only != nullptr) {
+      std::fprintf(stderr,
+                   "%s needs the serial engine; --shards N>1 and "
+                   "--windowed run the beacon substrate only\n",
+                   serial_only);
+      return 2;
+    }
+  }
   if (trace_sample >= 0.0) {
     if (trace_sample > 1.0) {
       std::fprintf(stderr, "--trace-sample must be in [0,1]\n");
@@ -267,6 +393,10 @@ int main(int argc, char** argv) {
     config.trace_sample = trace_sample;
   } else if (!trace_out_path.empty()) {
     config.trace_sample = 1.0;  // A trace file without a rate means "all".
+  }
+
+  if (substrate) {
+    return RunSubstrate(config, csv, metrics_out_path, ts_out_path);
   }
 
   if (csv) {
@@ -323,14 +453,6 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<RunMetrics> runs = RunExperimentRuns(config);
-  if (!runs.empty() &&
-      runs.front().shards_effective < runs.front().shards_requested) {
-    std::fprintf(stderr,
-                 "warning: --shards %d clamped to %d by the partition "
-                 "geometry (field too small for that many tiles)\n",
-                 runs.front().shards_requested,
-                 runs.front().shards_effective);
-  }
   for (int i = 0; i < static_cast<int>(runs.size()); ++i) {
     const uint64_t seed = config.base_seed + i;
     const RunMetrics& m = runs[i];
@@ -376,33 +498,7 @@ int main(int argc, char** argv) {
         std::printf("slo:  %s\n", agg.slo.Format().c_str());
       }
     }
-    if (!metrics_out_path.empty()) {
-      std::ofstream out(metrics_out_path);
-      out << agg.obs.ToJson() << '\n';
-      std::fprintf(stderr, "wrote merged metrics of %d run(s) to %s\n",
-                   agg.runs, metrics_out_path.c_str());
-    }
-    if (!ts_out_path.empty()) {
-      // The base seed's recording (runs[0]); independent of --jobs.
-      std::ofstream out(ts_out_path);
-      const bool as_csv =
-          ts_out_path.size() >= 4 &&
-          ts_out_path.compare(ts_out_path.size() - 4, 4, ".csv") == 0;
-      if (as_csv) {
-        agg.ts.WriteCsv(out);
-      } else {
-        agg.ts.WriteJson(out);
-      }
-      size_t samples = 0;
-      for (const TimeSeries& s : agg.ts.series()) samples += s.size();
-      std::fprintf(stderr, "wrote %zu series (%zu samples) to %s\n",
-                   agg.ts.series().size(), samples, ts_out_path.c_str());
-      if (agg.ts.series().empty()) {
-        std::fprintf(stderr,
-                     "note: flight recorder was disabled; pass "
-                     "--ts-interval or a timeseries@ workload clause\n");
-      }
-    }
+    WriteArtifacts(agg, metrics_out_path, ts_out_path);
   }
   return 0;
 }

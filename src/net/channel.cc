@@ -120,9 +120,22 @@ void Channel::PeriodicSweep() {
   SweepReceptions(now);
 }
 
-void Channel::GatherCandidates(const Point& origin) const {
+void Channel::GatherReceivers(const Node* sender, const Point& origin) {
   AllocScopePause capacity;  // Scratch high-water growth only.
   scratch_.clear();
+  const double range2 = params_.radio_range_m * params_.radio_range_m;
+  const auto hears = [&](const Node* n) {
+    return n != sender && n->alive() &&
+           SquaredDistance(n->Position(), origin) <= range2;
+  };
+  if (!params_.use_spatial_grid) {
+    // Nodes attach in id order, so the scan is already ascending.
+    stats_.candidates_scanned += nodes_.size();
+    for (Node* n : nodes_) {
+      if (hears(n)) scratch_.emplace_back(n->id(), n);
+    }
+    return;
+  }
   const CellCoord c = CellCoordOf(origin);
   const int32_t x0 = std::max(c.cx - 1, 0);
   const int32_t x1 = std::min(c.cx + 1, grid_nx_ - 1);
@@ -134,10 +147,15 @@ void Channel::GatherCandidates(const Point& origin) const {
       scratch_.insert(scratch_.end(), cell.begin(), cell.end());
     }
   }
-  // Ascending node-id order: matches the brute-force scan (nodes attach
-  // in id order), so the per-receiver RNG draws below happen in the same
-  // sequence and outcomes stay bit-identical. Ids are carried in the
-  // cell entries so the sort never dereferences a Node.
+  stats_.candidates_scanned += scratch_.size();
+  // Range-filter the copy, not the cells: Position() may report a leg
+  // change that re-buckets the node mid-scan.
+  std::erase_if(scratch_,
+                [&](const auto& entry) { return !hears(entry.second); });
+  // Ascending node-id order: matches the brute-force scan, so the
+  // per-receiver RNG draws in Transmit happen in the same sequence and
+  // outcomes stay bit-identical. Ids are carried in the cell entries so
+  // the sort never dereferences a Node.
   std::sort(scratch_.begin(), scratch_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 }
@@ -220,7 +238,7 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
     });
   }
   if (fault.drop) return;  // On the air but heard by nobody.
-  if (params_.use_spatial_grid) GatherCandidates(origin);
+  GatherReceivers(sender, origin);
 
   // All of a frame's receptions complete at the same instant, so they are
   // delivered by one batched event whose only captured state is the
@@ -231,19 +249,14 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
   const FrameHandle handle = frames_.Acquire();
   InFlightFrame* frame = frames_.Get(handle);
   frame->packet = packet;
+  frame->aired_twice = fault.duplicate || replaying_fault_;
 
-  const double range2 = params_.radio_range_m * params_.radio_range_m;
-  const auto scan = [&](const auto& candidates, auto node_of) {
-    // Everything the scan appends lives in recycled storage — the slot's
+  {
+    // Everything the loop appends lives in recycled storage — the slot's
     // flags/batch vectors and the per-receiver reception lanes — so any
     // allocation here is high-water capacity growth, not per-frame churn.
     AllocScopePause capacity;
-    for (const auto& candidate : candidates) {
-      ++stats_.candidates_scanned;
-      Node* receiver = node_of(candidate);
-      if (receiver == sender || !receiver->alive()) continue;
-      if (SquaredDistance(receiver->Position(), origin) > range2) continue;
-
+    for (const auto& [id, receiver] : scratch_) {
       ++stats_.receptions_attempted;
 
       // Collision check: any reception still in progress at this
@@ -251,7 +264,7 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
       // always; the ongoing one too unless capture mode preserves it).
       const uint32_t index = static_cast<uint32_t>(frame->flags.size());
       frame->flags.push_back(0);
-      const size_t slot = static_cast<size_t>(receiver->id());
+      const size_t slot = static_cast<size_t>(id);
       if (slot >= active_receptions_.size()) {
         active_receptions_.resize(slot + 1);
       }
@@ -275,12 +288,6 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
       const bool randomly_lost = rng_.Bernoulli(params_.loss_rate);
       frame->batch.push_back(Delivery{receiver, randomly_lost});
     }
-  };
-
-  if (params_.use_spatial_grid) {
-    scan(scratch_, [](const auto& entry) { return entry.second; });
-  } else {
-    scan(nodes_, [](Node* n) { return n; });
   }
   if (frame->batch.empty()) {
     frames_.Release(handle);
@@ -312,6 +319,7 @@ void Channel::DeliverFrame(FrameHandle handle) {
   // stable across them. The flags/batch arrays are re-resolved instead of
   // copied — they are only read between handler invocations.
   const Packet packet = frame->packet;
+  const bool aired_twice = frame->aired_twice;
   const EnergyCategory category = packet.category;
   const size_t batch_size = frame->batch.size();
   for (size_t i = 0; i < batch_size; ++i) {
@@ -336,7 +344,7 @@ void Channel::DeliverFrame(FrameHandle handle) {
       continue;
     }
     ++stats_.receptions_delivered;
-    d.receiver->HandlePhyReceive(packet);
+    d.receiver->HandlePhyReceive(packet, aired_twice);
   }
   frames_.Release(handle);
 }

@@ -16,9 +16,10 @@
 // (max node speed x refresh interval), which makes a 3x3 cell
 // neighborhood a conservative superset of every node within radio range
 // even though bucketed positions lag true (kinematic) positions by up to
-// one refresh interval. Candidates are processed in ascending node-id
-// order before any channel RNG draw, so grid-indexed runs are
-// bit-identical to the brute-force scan (`use_spatial_grid = false`).
+// one refresh interval. Candidates outside radio range are dropped
+// first, and the receivers left are processed in ascending node-id order
+// before any channel RNG draw, so grid-indexed runs are bit-identical to
+// the brute-force scan (`use_spatial_grid = false`).
 
 #ifndef DIKNN_NET_CHANNEL_H_
 #define DIKNN_NET_CHANNEL_H_
@@ -193,11 +194,13 @@ class Channel {
   // later overlapping frame corrupts receiver i's reception.
   struct InFlightFrame {
     Packet packet;
+    bool aired_twice = false;  // A `dup` fault's original or replay.
     std::vector<unsigned char> flags;
     std::vector<Delivery> batch;
 
     void Reuse() {
       packet = Packet{};  // Drops the payload reference.
+      aired_twice = false;
       flags.clear();
       batch.clear();
     }
@@ -217,6 +220,7 @@ class Channel {
 
     // Drops entries whose reception already ended, preserving order.
     void Compact(SimTime now) {
+      if (end_times.empty()) return;
       size_t kept = 0;
       for (size_t i = 0; i < end_times.size(); ++i) {
         if (end_times[i] <= now) continue;
@@ -308,9 +312,11 @@ class Channel {
   // is not yet bucketed).
   void PlaceNode(Node* node, const Point& position);
 
-  // Collects the 3x3 cell neighborhood around `origin` into `scratch_`,
-  // sorted by ascending node id.
-  void GatherCandidates(const Point& origin) const;
+  // Collects the receivers of a frame `sender` airs from `origin` into
+  // `scratch_`: live nodes other than the sender within radio range, in
+  // ascending node id. Candidates come from the 3x3 cell neighborhood
+  // (or every node, brute force); each one counts in candidates_scanned.
+  void GatherReceivers(const Node* sender, const Point& origin);
 
   // Erases entries in `active_receptions_` whose receptions all ended.
   void SweepReceptions(SimTime now);
@@ -354,7 +360,7 @@ class Channel {
   // lookup must not hash.
   std::vector<int32_t> node_cell_of_;
   mutable std::vector<AirLane> air_cells_;
-  mutable std::vector<std::pair<NodeId, Node*>> scratch_;  // Gather buffer.
+  std::vector<std::pair<NodeId, Node*>> scratch_;  // Receivers of a frame.
 };
 
 }  // namespace diknn

@@ -17,12 +17,7 @@ Mac::Mac(Node* node, Channel* channel, Simulator* sim, MacParams params,
       sim_(sim),
       params_(params),
       rng_(rng),
-      next_uid_base_(0) {
-  // The duplicate cache is bounded; size its table and FIFO once so
-  // steady-state inserts never rehash or grow the ring.
-  seen_uids_.reserve(kSeenCapacity + 1);
-  seen_order_.reserve(kSeenCapacity + 1);
-}
+      next_uid_base_(0) {}
 
 AllocCounters* Mac::net_allocs() const {
   return channel_ != nullptr ? &channel_->net_allocs() : nullptr;
@@ -163,7 +158,7 @@ void Mac::CompleteHead(bool success) {
   if (frame.callback) frame.callback(success);
 }
 
-bool Mac::FilterReceive(const Packet& packet) {
+bool Mac::FilterReceive(const Packet& packet, bool aired_twice) {
   if (packet.type == MessageType::kMacAck) {
     if (packet.dst == node_->id() && awaiting_ack_uid_ != 0) {
       const auto* ack = static_cast<const AckMessage*>(packet.payload.get());
@@ -207,17 +202,24 @@ bool Mac::FilterReceive(const Packet& packet) {
   }
 
   // Duplicate suppression (an ACK loss makes the sender retransmit a frame
-  // the protocol layer already saw).
-  if (seen_uids_.contains(packet.uid)) {
-    ++stats_.duplicates_dropped;
-    return true;
+  // the protocol layer already saw). Uids are unique per logical frame, so
+  // a broadcast aired once cannot be a duplicate and is not remembered.
+  if (packet.IsBroadcast() && !aired_twice) {
+    ++deliveries_;
+    return false;
   }
-  seen_uids_.insert(packet.uid);
-  seen_order_.push_back(packet.uid);
-  if (seen_order_.size() > kSeenCapacity) {
-    seen_uids_.erase(seen_order_.front());
-    seen_order_.pop_front();
+  while (!seen_.empty() &&
+         deliveries_ - seen_.front().delivery >= kSeenWindow) {
+    seen_.pop_front();
   }
+  for (size_t i = 0; i < seen_.size(); ++i) {
+    if (seen_[i].uid == packet.uid) {
+      ++stats_.duplicates_dropped;
+      return true;
+    }
+  }
+  ++deliveries_;
+  seen_.push_back(SeenUid{packet.uid, deliveries_});
   return false;
 }
 

@@ -11,20 +11,24 @@
 //
 // Receivers acknowledge unicast frames addressed to them without CSMA
 // (802.15.4 ACKs follow a fixed turnaround) and suppress duplicate
-// deliveries to the protocol layer via a recent (src, uid) cache.
+// deliveries to the protocol layer. A frame is suppressed when its uid
+// was delivered within the last kSeenWindow protocol deliveries. Only
+// frames that can arrive twice are remembered: unicasts (a lost ACK
+// makes the sender retransmit) and broadcasts the channel airs twice
+// (a `dup` fault). Every other broadcast, the beacon stream, is unique
+// by uid, so it only advances the window's delivery count.
 //
 // Steady-state allocation discipline (docs/PACKET_PLANE.md): the outbound
-// FIFO and duplicate cache are flat recycled buffers, ACK payloads come
-// from the message pool, and completion callbacks use inline-storage
-// BasicSmallFn — after warmup, queuing / sending / acknowledging a frame
-// performs no heap allocation.
+// FIFO and duplicate cache are flat recycled buffers that grow to their
+// high-water mark, ACK payloads come from the message pool, and
+// completion callbacks use inline-storage BasicSmallFn — after warmup,
+// queuing / sending / acknowledging a frame performs no heap allocation.
 
 #ifndef DIKNN_NET_MAC_H_
 #define DIKNN_NET_MAC_H_
 
 #include <cstdint>
 
-#include "core/flat_map.h"
 #include "core/ring_buffer.h"
 #include "core/rng.h"
 #include "net/channel.h"
@@ -77,10 +81,15 @@ class Mac {
   /// Queues a frame. `packet.uid` is assigned here.
   void Send(Packet packet, EnergyCategory category, SendCallback callback);
 
-  /// Called by the Node on every physical reception. Returns true if the
-  /// frame was consumed by the MAC (an ACK, a duplicate, or a unicast for
-  /// somebody else); false if it should be delivered to the protocols.
-  bool FilterReceive(const Packet& packet);
+  /// Called by the Node on every physical reception. `aired_twice` is
+  /// true when the channel airs this frame's uid twice (a `dup` fault's
+  /// original and its replay). Returns true if the frame was consumed by
+  /// the MAC (an ACK, a duplicate, or a unicast for somebody else); false
+  /// if it should be delivered to the protocols.
+  bool FilterReceive(const Packet& packet, bool aired_twice);
+
+  /// Protocol deliveries remembered for duplicate suppression.
+  static constexpr uint64_t kSeenWindow = 256;
 
   const MacStats& stats() const { return stats_; }
 
@@ -131,10 +140,15 @@ class Mac {
   // frame mid-retry) recognize themselves and bail out.
   uint64_t csma_generation_ = 0;
 
-  // Duplicate suppression: uids recently delivered upward, bounded FIFO.
-  FlatSet<uint64_t> seen_uids_;
-  RingBuffer<uint64_t> seen_order_;
-  static constexpr size_t kSeenCapacity = 256;
+  // Duplicate suppression: repeatable uids delivered upward, oldest
+  // first, each stamped with the delivery count at its arrival. An entry
+  // leaves once kSeenWindow deliveries have been counted after it.
+  struct SeenUid {
+    uint64_t uid = 0;
+    uint64_t delivery = 0;
+  };
+  RingBuffer<SeenUid> seen_;
+  uint64_t deliveries_ = 0;  // Protocol deliveries so far.
 
   MacStats stats_;
   uint64_t next_uid_base_;

@@ -77,9 +77,9 @@ void Node::SendBroadcast(MessageType type,
   mac_.Send(std::move(p), category, std::move(callback));
 }
 
-void Node::HandlePhyReceive(const Packet& packet) {
+void Node::HandlePhyReceive(const Packet& packet, bool aired_twice) {
   if (!alive_) return;
-  if (mac_.FilterReceive(packet)) return;
+  if (mac_.FilterReceive(packet, aired_twice)) return;
 
   const size_t index = static_cast<size_t>(packet.type);
   if (index >= kMessageTypeSpan || !handlers_[index]) {

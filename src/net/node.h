@@ -113,7 +113,9 @@ class Node {
                      Mac::SendCallback callback = {}, TraceContext trace = {});
 
   /// Entry point from the Channel when a frame reaches this node's radio.
-  void HandlePhyReceive(const Packet& packet);
+  /// `aired_twice` marks a frame whose uid the channel airs twice (see
+  /// Mac::FilterReceive).
+  void HandlePhyReceive(const Packet& packet, bool aired_twice);
 
  private:
   NodeId id_;

@@ -12,43 +12,38 @@ void NeighborTable::Reserve(size_t n) {
   positions_.reserve(n);
   speeds_.reserve(n);
   last_heard_.reserve(n);
-  index_.reserve(n);
+}
+
+size_t NeighborTable::LaneOf(NodeId id) const {
+  return static_cast<size_t>(std::find(ids_.begin(), ids_.end(), id) -
+                             ids_.begin());
 }
 
 void NeighborTable::Update(NodeId id, Point position, double speed,
                            SimTime now) {
-  if (const uint32_t* k = index_.find(id)) {
-    positions_[*k] = position;
-    speeds_[*k] = speed;
-    last_heard_[*k] = now;
+  const size_t i = LaneOf(id);
+  if (i < ids_.size()) {
+    positions_[i] = position;
+    speeds_[i] = speed;
+    last_heard_[i] = now;
     return;
   }
-  // First contact: lane growth is table capacity (lanes and index never
-  // shrink), not a per-beacon transient allocation.
+  // First contact: lane growth is table capacity (lanes never shrink),
+  // not a per-beacon transient allocation.
   AllocScopePause capacity;
-  index_.TryEmplace(id, static_cast<uint32_t>(ids_.size()));
   ids_.push_back(id);
   positions_.push_back(position);
   speeds_.push_back(speed);
   last_heard_.push_back(now);
 }
 
-void NeighborTable::RebuildIndex() {
-  index_.clear();
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    index_.TryEmplace(ids_[i], static_cast<uint32_t>(i));
-  }
-}
-
 void NeighborTable::Remove(NodeId id) {
-  const uint32_t* k = index_.find(id);
-  if (k == nullptr) return;
-  const size_t i = *k;
+  const size_t i = LaneOf(id);
+  if (i == ids_.size()) return;
   ids_.erase(ids_.begin() + i);
   positions_.erase(positions_.begin() + i);
   speeds_.erase(speeds_.begin() + i);
   last_heard_.erase(last_heard_.begin() + i);
-  RebuildIndex();
 }
 
 void NeighborTable::Expire(SimTime now) {
@@ -63,19 +58,16 @@ void NeighborTable::Expire(SimTime now) {
     }
     ++w;
   }
-  if (w == ids_.size()) return;
   ids_.resize(w);
   positions_.resize(w);
   speeds_.resize(w);
   last_heard_.resize(w);
-  RebuildIndex();
 }
 
 std::optional<NeighborEntry> NeighborTable::Lookup(NodeId id,
                                                    SimTime now) const {
-  const uint32_t* k = index_.find(id);
-  if (k == nullptr || !FreshAt(*k, now)) return std::nullopt;
-  const size_t i = *k;
+  const size_t i = LaneOf(id);
+  if (i == ids_.size() || !FreshAt(i, now)) return std::nullopt;
   return NeighborEntry{ids_[i], positions_[i], speeds_[i], last_heard_[i]};
 }
 

@@ -146,7 +146,8 @@ void PsimEngine::BuildWorld() {
     node.cell = part.CellOf(pos);
     node.next_beacon = node.rng.Uniform(0.0, config_.beacon_interval);
     world_->cell_nodes[static_cast<size_t>(node.cell)].push_back(
-        static_cast<uint32_t>(i));
+        {static_cast<uint32_t>(i), static_cast<float>(pos.x),
+         static_cast<float>(pos.y)});
   }
   // Head-room so per-cell buckets never regrow once the run reaches
   // steady state (the allocation gate counts second-half growth). Random
@@ -158,7 +159,7 @@ void PsimEngine::BuildWorld() {
       static_cast<size_t>(n),
       area <= 0.0 ? static_cast<size_t>(n)
                   : static_cast<size_t>(4.0 * n * cell_area / area) + 16);
-  for (std::vector<uint32_t>& bucket : world_->cell_nodes) {
+  for (std::vector<PsimBucketEntry>& bucket : world_->cell_nodes) {
     bucket.reserve(std::max(bucket.size() * 2 + 8, bucket_bound));
   }
 

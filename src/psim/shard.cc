@@ -89,7 +89,6 @@ PsimShard::PsimShard(PsimWorld* world, int id)
   migrated_out_.reserve(static_cast<size_t>(world_->config.node_count));
   delivery_order_.reserve(frame_bound);
   interferers_.reserve(4096);
-  receivers_.reserve(4096);
 }
 
 PsimShard::NeighborInbox* PsimShard::CreateInbox(int from) {
@@ -273,23 +272,31 @@ void PsimShard::SweepIfDue(uint64_t k) {
     PsimNode& n = world_->nodes[i];
     n.neighbors.Expire(now);
     const Point pos = n.mobility->PositionAt(now);
+    const PsimBucketEntry entry{i, static_cast<float>(pos.x),
+                                static_cast<float>(pos.y)};
     const int32_t cell = part.CellOf(pos);
-    if (cell == n.cell) continue;
+    std::vector<PsimBucketEntry>& old_bucket = world_->cell_nodes[n.cell];
+    const auto it =
+        std::find_if(old_bucket.begin(), old_bucket.end(),
+                     [i](const PsimBucketEntry& e) { return e.node == i; });
+    if (cell == n.cell) {
+      *it = entry;
+      continue;
+    }
     // Re-bucket: remove from the old cell; insert locally or mail the
     // node to the new owner (always this shard or an adjacent one — a
     // node drifts at most one cell per sweep).
-    std::vector<uint32_t>& old_bucket = world_->cell_nodes[n.cell];
-    old_bucket.erase(std::find(old_bucket.begin(), old_bucket.end(), i));
+    old_bucket.erase(it);
     n.cell = cell;
     const int owner = part.OwnerOfCell(cell);
     if (owner == id_) {
-      world_->cell_nodes[cell].push_back(i);
+      world_->cell_nodes[cell].push_back(entry);
       continue;
     }
     NeighborInbox* box = RequireOutbox(owner);
     sim_.Cancel(n.event);
     n.event = 0;
-    box->migrations.Push(i);
+    box->migrations.Push(entry);
     ++stats_.migrations_out;
     migrated_out_.push_back(i);
   }
@@ -322,9 +329,10 @@ void PsimShard::DrainMailboxes(uint64_t k) {
   // window k-2; clear it before any early window-k frame lands in it.
   Slot(k).Clear();
 
-  const auto adopt = [this](uint32_t i) {
+  const auto adopt = [this](const PsimBucketEntry& entry) {
+    const uint32_t i = entry.node;
     PsimNode& n = world_->nodes[i];
-    world_->cell_nodes[n.cell].push_back(i);
+    world_->cell_nodes[n.cell].push_back(entry);
     owned_.push_back(i);
     ++stats_.migrations_in;
     // The pending event was cancelled by the previous owner; re-arm it
@@ -393,12 +401,14 @@ void PsimShard::DeliverWindow(uint64_t window) {
               return fa.seq < fb.seq;
             });
   const SimTime now = current_window_ * world_->partition.lookahead();
+  const double drift = world_->SweptDrift(current_window_);
   for (const uint32_t index : delivery_order_) {
-    DeliverFrame(slot.frames[index], now);
+    DeliverFrame(slot.frames[index], now, drift);
   }
 }
 
-void PsimShard::DeliverFrame(const PsimFrame& f, SimTime now) {
+void PsimShard::DeliverFrame(const PsimFrame& f, SimTime now,
+                             double drift) {
   const FieldPartition& part = world_->partition;
   const double range = world_->config.radio_range_m;
   const double range2 = range * range;
@@ -438,8 +448,29 @@ void PsimShard::DeliverFrame(const PsimFrame& f, SimTime now) {
   // Receivers: nodes bucketed in the 3x3 block around the origin *in
   // this shard's cells* — neighbor shards deliver their own copy of f
   // to their own cells, so the union over shards is exactly the serial
-  // receiver set, with no cell visited twice.
-  receivers_.clear();
+  // receiver set, with no cell visited twice. Each receiver's outcome
+  // depends only on f and its own state (the loss draw is a stateless
+  // hash, and a table takes at most one update per frame), so the scan
+  // runs in bucket order: every table still sees its updates in the
+  // (t, sender, seq) frame order.
+  //
+  // A receiver lies within `drift` of its bucket entry. An entry beyond
+  // range + drift is out of range; one inside range - drift is in range
+  // and, with no interferer to judge, needs no exact position. Only the
+  // annulus between the two, and receivers of a frame with interferers,
+  // ask the mobility model.
+  const double outer = range + drift;
+  const double outer2 = outer * outer;
+  const double inner = range - drift;
+  const double inner2 = inner > 0.0 ? inner * inner : -1.0;
+  const bool clear = interferers_.empty();
+  const auto collided = [this, range2](const Point& pos) {
+    for (const PsimFrame* g : interferers_) {
+      if (SquaredDistance(g->origin, pos) <= range2) return true;
+    }
+    return false;
+  };
+  uint64_t scanned = 0;
   for (int dy = -1; dy <= 1; ++dy) {
     const int y = fy + dy;
     if (y < 0 || y >= part.ny()) continue;
@@ -447,39 +478,36 @@ void PsimShard::DeliverFrame(const PsimFrame& f, SimTime now) {
       const int x = fx + dx;
       if (x < 0 || x >= part.nx()) continue;
       if (part.OwnerAt(x, y) != id_) continue;
-      for (const uint32_t i : world_->cell_nodes[y * part.nx() + x]) {
-        if (i != f.sender) receivers_.push_back(i);
+      const std::vector<PsimBucketEntry>& bucket =
+          world_->cell_nodes[y * part.nx() + x];
+      for (const PsimBucketEntry& e : bucket) {
+        if (e.node == f.sender) continue;
+        ++scanned;
+        const double swept2 = SquaredDistance(e.position(), f.origin);
+        if (swept2 > outer2) continue;
+        PsimNode& node = world_->nodes[e.node];
+        Point pos;
+        if (!clear || swept2 >= inner2) {
+          pos = node.mobility->PositionAt(now);
+          if (SquaredDistance(pos, f.origin) > range2) continue;
+        }
+        ++stats_.receptions_attempted;
+        if (!clear && collided(pos)) {
+          ++stats_.receptions_collided;
+          continue;
+        }
+        if (world_->config.loss_rate > 0.0 && LossDraw(f, e.node)) {
+          ++stats_.receptions_lost;
+          continue;
+        }
+        ++stats_.receptions_delivered;
+        node.neighbors.Update(static_cast<NodeId>(f.sender), f.origin,
+                              static_cast<double>(f.speed), now);
+        ++stats_.neighbor_updates;
       }
     }
   }
-  stats_.candidates_scanned += receivers_.size();
-  std::sort(receivers_.begin(), receivers_.end());
-
-  for (const uint32_t r : receivers_) {
-    PsimNode& node = world_->nodes[r];
-    const Point pos = node.mobility->PositionAt(now);
-    if (SquaredDistance(pos, f.origin) > range2) continue;
-    ++stats_.receptions_attempted;
-    bool collided = false;
-    for (const PsimFrame* g : interferers_) {
-      if (SquaredDistance(g->origin, pos) <= range2) {
-        collided = true;
-        break;
-      }
-    }
-    if (collided) {
-      ++stats_.receptions_collided;
-      continue;
-    }
-    if (world_->config.loss_rate > 0.0 && LossDraw(f, r)) {
-      ++stats_.receptions_lost;
-      continue;
-    }
-    ++stats_.receptions_delivered;
-    node.neighbors.Update(static_cast<NodeId>(f.sender), f.origin,
-                          static_cast<double>(f.speed), now);
-    ++stats_.neighbor_updates;
-  }
+  stats_.candidates_scanned += scanned;
 }
 
 bool PsimShard::LossDraw(const PsimFrame& f, uint32_t receiver) const {
@@ -504,8 +532,11 @@ bool PsimShard::OwnershipInvariantHolds() const {
     const PsimNode& n = world_->nodes[i];
     if (world_->partition.OwnerOfCell(n.cell) != id_) return false;
     if (n.event == 0 || !sim_.IsPending(n.event)) return false;
-    const std::vector<uint32_t>& bucket = world_->cell_nodes[n.cell];
-    if (std::count(bucket.begin(), bucket.end(), i) != 1) return false;
+    const std::vector<PsimBucketEntry>& bucket = world_->cell_nodes[n.cell];
+    const auto filed = std::count_if(
+        bucket.begin(), bucket.end(),
+        [i](const PsimBucketEntry& e) { return e.node == i; });
+    if (filed != 1) return false;
   }
   return true;
 }

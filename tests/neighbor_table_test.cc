@@ -1,6 +1,10 @@
 #include "net/neighbor_table.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "core/alloc_probe.h"
 
 namespace diknn {
 namespace {
@@ -109,6 +113,109 @@ TEST(NeighborTableTest, MaxNeighborSpeedIgnoresStale) {
   table.Update(1, {0, 0}, 9.0, 0.0);
   table.Update(2, {0, 0}, 2.0, 5.0);
   EXPECT_DOUBLE_EQ(table.MaxNeighborSpeed(5.0), 2.0);
+}
+
+// Ids of the fresh entries at `now`, in table order.
+std::vector<NodeId> Order(const NeighborTable& table, SimTime now) {
+  std::vector<NodeId> ids;
+  table.ForEachFresh(now,
+                     [&ids](const NeighborEntry& e) { ids.push_back(e.id); });
+  return ids;
+}
+
+TEST(NeighborTableTest, InsertionOrderSurvivesRemoveExpireAndReinsert) {
+  NeighborTable table(1.0);
+  for (NodeId id : {5, 3, 9, 1, 7}) table.Update(id, {0, 0}, 0.0, 0.0);
+  table.Update(9, {1, 1}, 0.0, 0.5);  // A refresh keeps its lane.
+  EXPECT_EQ(Order(table, 0.5), (std::vector<NodeId>{5, 3, 9, 1, 7}));
+
+  table.Remove(3);
+  EXPECT_EQ(Order(table, 0.5), (std::vector<NodeId>{5, 9, 1, 7}));
+
+  table.Update(1, {0, 0}, 0.0, 1.2);
+  table.Expire(1.2);  // 5 and 7 (heard at 0.0) go; 9 and 1 stay.
+  EXPECT_EQ(Order(table, 1.2), (std::vector<NodeId>{9, 1}));
+
+  // Re-inserted ids go to the end, behind the survivors.
+  table.Update(5, {0, 0}, 0.0, 1.3);
+  table.Update(3, {0, 0}, 0.0, 1.3);
+  EXPECT_EQ(Order(table, 1.3), (std::vector<NodeId>{9, 1, 5, 3}));
+}
+
+TEST(NeighborTableTest, LookupAndFreshnessAfterCompaction) {
+  NeighborTable table(1.0);
+  for (NodeId id = 0; id < 8; ++id) {
+    table.Update(id, {static_cast<double>(id), 0}, id * 0.5, id * 0.25);
+  }
+  table.Remove(2);
+  table.Expire(1.3);  // Drops ids heard before 0.3: 0 and 1.
+  EXPECT_EQ(Order(table, 1.3), (std::vector<NodeId>{3, 4, 5, 6, 7}));
+  for (NodeId id : {0, 1, 2}) {
+    EXPECT_FALSE(table.Lookup(id, 1.3).has_value()) << id;
+  }
+  for (NodeId id = 3; id < 8; ++id) {
+    const auto e = table.Lookup(id, 1.3);
+    ASSERT_TRUE(e.has_value()) << id;
+    EXPECT_EQ(e->position, Point(static_cast<double>(id), 0));
+    EXPECT_DOUBLE_EQ(e->speed, id * 0.5);
+    EXPECT_DOUBLE_EQ(e->last_heard, id * 0.25);
+  }
+  // Freshness still reads each entry's own lane: at 2.0 only ids heard
+  // at 1.0 or later (4..7) are fresh, and Lookup agrees.
+  EXPECT_EQ(table.CountFresh(2.0), 4);
+  EXPECT_FALSE(table.Lookup(3, 2.0).has_value());
+  EXPECT_TRUE(table.Lookup(4, 2.0).has_value());
+  // A refresh after compaction lands on the right lane.
+  table.Update(6, {60, 6}, 9.0, 2.0);
+  EXPECT_EQ(table.Lookup(6, 2.0)->position, Point(60, 6));
+  EXPECT_EQ(table.Lookup(7, 2.0)->position, Point(7, 0));
+}
+
+TEST(NeighborTableTest, ThreeHundredEntriesRoundTrip) {
+  NeighborTable table(10.0);
+  for (NodeId id = 0; id < 300; ++id) {
+    // Spread ids so order is insertion order, not id order.
+    const NodeId key = (id * 7919) % 1000;
+    table.Update(key, {static_cast<double>(id), -static_cast<double>(id)},
+                 id * 0.01, 1.0);
+  }
+  ASSERT_EQ(table.CountFresh(1.0), 300);
+  std::vector<NodeId> expected;
+  for (NodeId id = 0; id < 300; ++id) expected.push_back((id * 7919) % 1000);
+  EXPECT_EQ(Order(table, 1.0), expected);
+  for (NodeId id = 0; id < 300; ++id) {
+    const auto e = table.Lookup((id * 7919) % 1000, 1.0);
+    ASSERT_TRUE(e.has_value()) << id;
+    EXPECT_EQ(e->position,
+              Point(static_cast<double>(id), -static_cast<double>(id)));
+    EXPECT_DOUBLE_EQ(e->speed, id * 0.01);
+  }
+  EXPECT_FALSE(table.Lookup(1, 1.0).has_value());  // Not a key above.
+}
+
+TEST(NeighborTableTest, UpdateOnReservedTableAllocatesNothing) {
+  NeighborTable table(1.0);
+  table.Reserve(64);
+  AllocCounters counters;
+  int found = 0;
+  const uint64_t total_before = alloc_probe::TotalAllocations();
+  {
+    AllocScope scope(&counters);
+    for (int round = 0; round < 20; ++round) {
+      const SimTime now = round * 0.1;
+      for (NodeId id = 0; id < 64; ++id) {
+        table.Update(id, {1.0 * id, 2.0}, 1.0, now);
+      }
+      table.Remove(static_cast<NodeId>(round));
+      table.Expire(now);
+      if (table.Lookup(63, now).has_value()) ++found;
+    }
+  }
+  EXPECT_EQ(found, 20);
+  EXPECT_EQ(counters.allocations, 0u);
+  // First contact grows lanes under an AllocScopePause, which the scoped
+  // counters would not see; the process-wide tally would.
+  EXPECT_EQ(alloc_probe::TotalAllocations(), total_before);
 }
 
 }  // namespace

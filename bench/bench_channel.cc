@@ -2,13 +2,12 @@
 //
 // Drives a constant-density barrage of broadcast frames (plus a carrier-
 // sense probe per frame, mimicking CSMA) through the radio substrate at
-// N in {250, 1000, 4000, 8000, 16000, 32000} nodes, once with the
-// brute-force O(N) scan (skipped above kBruteForceCeiling) and
-// once with the spatial grid, and reports wall-clock frames/sec. Verifies
-// on the way that both modes produce identical traffic counters (the
-// grid's bit-identical contract). Emits machine-readable
-// BENCH_channel.json in the working directory so the perf trajectory can
-// be tracked across PRs.
+// N in {250, 1000, 4000, 8000, 16000, 32000} nodes and reports the spatial
+// grid's wall-clock frames/sec and receiver candidates per frame. (That
+// the grid reaches exactly the receivers a full scan would is checked by
+// channel_grid_test's brute-force oracle, not here.) Emits
+// machine-readable BENCH_channel.json in the working directory so the
+// perf trajectory can be tracked across changes.
 //
 // Env knobs: DIKNN_BENCH_FRAMES (frames per configuration, default 8000),
 // DIKNN_BENCH_SIZES (comma-separated node counts).
@@ -32,18 +31,11 @@ using namespace diknn;
 
 struct Result {
   int nodes = 0;
-  bool grid = false;
   int frames = 0;
   double wall_s = 0.0;
   double frames_per_s = 0.0;
   ChannelStats stats;
 };
-
-// Largest N still benched with the brute-force O(N) scan. Above this the
-// quadratic candidate count makes brute runs dominate the bench's wall
-// clock for no extra signal — the grid/brute equivalence is already
-// established at every size up to the ceiling.
-constexpr int kBruteForceCeiling = 8000;
 
 int FramesFromEnv() {
   const char* env = std::getenv("DIKNN_BENCH_FRAMES");
@@ -66,14 +58,13 @@ std::vector<int> SizesFromEnv() {
   return sizes.empty() ? defaults : sizes;
 }
 
-Result RunBarrage(int node_count, bool grid, int frames) {
+Result RunBarrage(int node_count, int frames) {
   NetworkConfig config;
   config.node_count = node_count;
   // Constant density: scale the paper's 115x115 m / 200-node field.
   const double side = 115.0 * std::sqrt(node_count / 200.0);
   config.field = Rect::Field(side, side);
   config.mobility = MobilityKind::kRandomWaypoint;
-  config.use_spatial_grid = grid;
   config.seed = 99;
   Network net(config);
   Channel& channel = net.channel();
@@ -103,7 +94,6 @@ Result RunBarrage(int node_count, bool grid, int frames) {
 
   Result r;
   r.nodes = node_count;
-  r.grid = grid;
   r.frames = frames;
   r.wall_s = std::chrono::duration<double>(stop - start).count();
   r.frames_per_s = frames / std::max(r.wall_s, 1e-9);
@@ -111,26 +101,21 @@ Result RunBarrage(int node_count, bool grid, int frames) {
   return r;
 }
 
-bool SameTraffic(const ChannelStats& a, const ChannelStats& b) {
-  return a.frames_sent == b.frames_sent &&
-         a.receptions_attempted == b.receptions_attempted &&
-         a.receptions_delivered == b.receptions_delivered &&
-         a.receptions_collided == b.receptions_collided &&
-         a.receptions_lost == b.receptions_lost;
+double CandidatesPerFrame(const Result& r) {
+  return static_cast<double>(r.stats.candidates_scanned) / r.frames;
 }
 
-void WriteJson(const std::vector<Result>& results, bool all_equal) {
+void WriteJson(const std::vector<Result>& results) {
   std::ofstream out("BENCH_channel.json");
   out << "{\n  \"bench\": \"channel\",\n  " << bench::ProvenanceJson()
-      << ",\n  \"equivalent\": "
-      << (all_equal ? "true" : "false") << ",\n  \"results\": [\n";
+      << ",\n  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
-    out << "    {\"nodes\": " << r.nodes << ", \"mode\": \""
-        << (r.grid ? "grid" : "brute") << "\", \"frames\": " << r.frames
-        << ", \"wall_s\": " << r.wall_s
+    out << "    {\"nodes\": " << r.nodes << ", \"mode\": \"grid\""
+        << ", \"frames\": " << r.frames << ", \"wall_s\": " << r.wall_s
         << ", \"frames_per_s\": " << r.frames_per_s
         << ", \"candidates_scanned\": " << r.stats.candidates_scanned
+        << ", \"candidates_per_frame\": " << CandidatesPerFrame(r)
         << ", \"delivered\": " << r.stats.receptions_delivered << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
@@ -144,43 +129,18 @@ int main() {
   const std::vector<int> sizes = SizesFromEnv();
 
   std::printf("=== bench_channel: %d frames per config ===\n", frames);
-  std::printf("%-8s %-7s %12s %10s %16s %10s\n", "nodes", "mode",
-              "frames/sec", "wall(s)", "cand/frame", "speedup");
+  std::printf("%-8s %12s %10s %16s\n", "nodes", "frames/sec", "wall(s)",
+              "cand/frame");
 
   std::vector<Result> results;
-  bool all_equal = true;
   for (int n : sizes) {
-    const bool run_brute = n <= kBruteForceCeiling;
-    const Result grid = RunBarrage(n, /*grid=*/true, frames);
-    if (run_brute) {
-      const Result brute = RunBarrage(n, /*grid=*/false, frames);
-      all_equal = all_equal && SameTraffic(brute.stats, grid.stats);
-      std::printf("%-8d %-7s %12.0f %10.3f %16.1f %10s\n", brute.nodes,
-                  "brute", brute.frames_per_s, brute.wall_s,
-                  static_cast<double>(brute.stats.candidates_scanned) /
-                      brute.frames,
-                  "-");
-      results.push_back(brute);
-      std::printf("%-8d %-7s %12.0f %10.3f %16.1f %9.2fx\n", grid.nodes,
-                  "grid", grid.frames_per_s, grid.wall_s,
-                  static_cast<double>(grid.stats.candidates_scanned) /
-                      grid.frames,
-                  grid.frames_per_s / brute.frames_per_s);
-    } else {
-      std::printf("%-8d %-7s %12.0f %10.3f %16.1f %10s\n", grid.nodes,
-                  "grid", grid.frames_per_s, grid.wall_s,
-                  static_cast<double>(grid.stats.candidates_scanned) /
-                      grid.frames,
-                  "-");
-    }
-    results.push_back(grid);
+    const Result r = RunBarrage(n, frames);
+    std::printf("%-8d %12.0f %10.3f %16.1f\n", r.nodes, r.frames_per_s,
+                r.wall_s, CandidatesPerFrame(r));
+    results.push_back(r);
   }
 
-  if (!all_equal) {
-    std::fprintf(stderr,
-                 "FAIL: grid and brute-force traffic counters diverged\n");
-  }
-  WriteJson(results, all_equal);
+  WriteJson(results);
   std::printf("wrote BENCH_channel.json\n");
-  return all_equal ? 0 : 1;
+  return 0;
 }

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # The whole pre-merge gauntlet in one command: release build + full test
 # suite, the ASan/UBSan and TSan presets, smoke passes of the workload,
-# event-engine, observability, and micro benches (seconds-long
-# DIKNN_WORKLOAD_SMOKE / DIKNN_ENGINE_SMOKE / DIKNN_OBS_SMOKE /
-# DIKNN_MICRO_SMOKE runs, so the bench binaries themselves are exercised;
-# bench_micro's steady-state allocation gate runs at full strength even
-# in smoke mode; DIKNN_CHECK_BENCH=0 skips them), and a traced-query run
+# channel, event-engine, observability, and micro benches (seconds-long
+# DIKNN_WORKLOAD_SMOKE / DIKNN_BENCH_FRAMES / DIKNN_ENGINE_SMOKE /
+# DIKNN_OBS_SMOKE / DIKNN_MICRO_SMOKE runs, so the bench binaries
+# themselves are exercised; bench_micro's steady-state allocation gate
+# runs at full strength even in smoke mode; DIKNN_CHECK_BENCH=0 skips
+# them), and a traced-query run
 # whose Chrome-trace and metrics JSON are validated with python3 — the
 # metrics must report zero steady-state packet-plane allocations
 # (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md),
@@ -29,23 +30,32 @@ scripts/check_asan.sh --output-on-failure
 echo "== TSan =="
 scripts/check_tsan.sh --output-on-failure
 
+# Smokes run from a scratch directory, so the BENCH_*.json files the
+# benches write to their working directory never overwrite checked-in ones.
+root="$PWD"
+sim="$root/build/tools/diknn-sim"
+obs_dir="$(mktemp -d)"
+trap 'rm -rf "$obs_dir"' EXIT
+cd "$obs_dir"
+
 if [[ "${DIKNN_CHECK_BENCH:-1}" != "0" ]]; then
   echo "== bench_workload smoke =="
-  DIKNN_WORKLOAD_SMOKE=1 ./build/bench/bench_workload
+  DIKNN_WORKLOAD_SMOKE=1 "$root"/build/bench/bench_workload
+  echo "== bench_channel smoke =="
+  DIKNN_BENCH_FRAMES=500 DIKNN_BENCH_SIZES=250,1000 \
+    "$root"/build/bench/bench_channel
   echo "== bench_engine smoke =="
-  DIKNN_ENGINE_SMOKE=1 ./build/bench/bench_engine
+  DIKNN_ENGINE_SMOKE=1 "$root"/build/bench/bench_engine
   echo "== bench_obs smoke =="
-  DIKNN_OBS_SMOKE=1 ./build/bench/bench_obs
+  DIKNN_OBS_SMOKE=1 "$root"/build/bench/bench_obs
   echo "== bench_micro smoke (allocation gate) =="
-  DIKNN_MICRO_SMOKE=1 ./build/bench/bench_micro
+  DIKNN_MICRO_SMOKE=1 "$root"/build/bench/bench_micro
   echo "== bench_pdes smoke (shard equivalence) =="
-  DIKNN_PDES_SMOKE=1 ./build/bench/bench_pdes
+  DIKNN_PDES_SMOKE=1 "$root"/build/bench/bench_pdes
 fi
 
 echo "== traced-query smoke =="
-obs_dir="$(mktemp -d)"
-trap 'rm -rf "$obs_dir"' EXIT
-./build/tools/diknn-sim --runs 1 --duration 20 --nodes 120 --field 90 \
+"$sim" --runs 1 --duration 20 --nodes 120 --field 90 \
   --trace-out "$obs_dir/trace.json" --metrics-out "$obs_dir/metrics.json"
 if command -v python3 >/dev/null; then
   python3 -m json.tool "$obs_dir/trace.json" >/dev/null
@@ -67,7 +77,7 @@ fi
 echo "== sharded allocation gate =="
 # The windowed engine's steady state is allocation-free on every shard
 # over a long mobile run at the paper's density (N=2000 on 363.7 m).
-./build/tools/diknn-sim --runs 1 --duration 60 --nodes 2000 --field 363.7 \
+"$sim" --runs 1 --duration 60 --nodes 2000 --field 363.7 \
   --shards 2 --metrics-out "$obs_dir/sharded.json"
 if command -v python3 >/dev/null; then
   python3 - "$obs_dir/sharded.json" <<'PY'
@@ -91,7 +101,7 @@ for opt in "--workload arrival@kind=poisson,rate=2" "--faults kill@t=1,count=1" 
            "--audit" "--trace-out $obs_dir/refused.json" "--trace-sample 1"; do
   for engine in "--shards 4" "--windowed"; do
     # shellcheck disable=SC2086  # Both strings are flag lists.
-    if ./build/tools/diknn-sim --runs 1 --duration 1 $engine $opt \
+    if "$sim" --runs 1 --duration 1 $engine $opt \
         >/dev/null 2>&1; then
       echo "diknn-sim $engine $opt exited 0; expected a refusal"
       exit 1
@@ -101,7 +111,7 @@ done
 echo "serial-only options refused on the windowed engine"
 
 echo "== served-workload smoke =="
-./build/tools/diknn-sim --runs 1 --duration 30 --nodes 120 --field 90 \
+"$sim" --runs 1 --duration 30 --nodes 120 --field 90 \
   --workload 'arrival@kind=poisson,rate=8;k@lo=10;space@kind=hotspot,n=2,sigma=5,skew=1.2;deadline@s=4;admit@inflight=128,queue=32,shed=1;cache@ttl=8,cells=3;coalesce@window=3,kslack=6' \
   --metrics-out "$obs_dir/served.json"
 if command -v python3 >/dev/null; then
@@ -127,15 +137,15 @@ echo "== flight-recorder smoke =="
 # between the 1-shard windowed engine and a 4-shard run
 # (docs/OBSERVABILITY.md "Time series & flight recorder").
 ts_workload='arrival@kind=poisson,rate=8;k@lo=6,hi=10;deadline@s=2;admit@inflight=24,queue=12'
-./build/tools/diknn-sim --runs 2 --jobs 1 --duration 20 --nodes 120 --field 90 \
+"$sim" --runs 2 --jobs 1 --duration 20 --nodes 120 --field 90 \
   --workload "$ts_workload" --ts-interval 1 --ts-out "$obs_dir/ts_jobs1.json"
-./build/tools/diknn-sim --runs 2 --jobs 4 --duration 20 --nodes 120 --field 90 \
+"$sim" --runs 2 --jobs 4 --duration 20 --nodes 120 --field 90 \
   --workload "$ts_workload" --ts-interval 1 --ts-out "$obs_dir/ts_jobs4.json"
 cmp "$obs_dir/ts_jobs1.json" "$obs_dir/ts_jobs4.json" \
   || { echo "flight recording differs across --jobs"; exit 1; }
-./build/tools/diknn-sim --runs 1 --duration 8 --nodes 1024 --field 560 \
+"$sim" --runs 1 --duration 8 --nodes 1024 --field 560 \
   --windowed --ts-interval 0.5 --ts-out "$obs_dir/ts_shards1.json"
-./build/tools/diknn-sim --runs 1 --duration 8 --nodes 1024 --field 560 \
+"$sim" --runs 1 --duration 8 --nodes 1024 --field 560 \
   --shards 4 --ts-interval 0.5 --ts-out "$obs_dir/ts_shards4.json"
 if command -v python3 >/dev/null; then
   python3 - "$obs_dir/ts_jobs1.json" "$obs_dir/ts_shards1.json" \

@@ -44,8 +44,17 @@ class Parser {
   bool ParseValue(JsonValue* out) {
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return ParseObject(out);
-      case '[': return ParseArray(out);
+      case '{':
+      case '[': {
+        // Containers recurse; bound the depth so hostile input fails
+        // cleanly instead of exhausting the stack.
+        if (depth_ == kMaxDepth) return Fail("nesting too deep");
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->kind = JsonValue::Kind::kString;
         return ParseString(&out->string);
@@ -191,9 +200,13 @@ class Parser {
     return true;
   }
 
+  // Far beyond anything this repo writes (its artifacts nest < 10 deep).
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::string* error_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

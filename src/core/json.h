@@ -59,7 +59,8 @@ class JsonValue {
   }
 
   /// Parses one JSON document (trailing whitespace allowed, trailing
-  /// garbage rejected). std::nullopt + `error` on malformed input.
+  /// garbage rejected). std::nullopt + `error` on malformed input,
+  /// including arrays/objects nested more than 256 deep.
   static std::optional<JsonValue> Parse(const std::string& text,
                                         std::string* error = nullptr);
 };

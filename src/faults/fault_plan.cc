@@ -1,6 +1,8 @@
 #include "faults/fault_plan.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -20,16 +22,26 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return out;
 }
 
+// Finite numbers only: "nan" would slip past every range check (all
+// comparisons with NaN are false), and "inf" is no time or rate.
 bool ParseDouble(const std::string& s, double* out) {
   char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != s.c_str();
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == nullptr || *end != '\0' || end == s.c_str()) return false;
+  if (!std::isfinite(v)) return false;
+  *out = v;
+  return true;
 }
 
+// Rejects values outside int rather than wrapping them.
 bool ParseInt(const std::string& s, int* out) {
   char* end = nullptr;
   const long v = std::strtol(s.c_str(), &end, 10);
   if (end == nullptr || *end != '\0' || end == s.c_str()) return false;
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
   *out = static_cast<int>(v);
   return true;
 }

@@ -19,8 +19,6 @@ void Channel::Attach(Node* node) {
   grid_dirty_ = true;
 }
 
-void Channel::PruneAir() { air_.Compact(sim_->Now()); }
-
 void Channel::SweepReceptions(SimTime now) {
   for (ReceptionLane& lane : active_receptions_) lane.Compact(now);
 }
@@ -43,7 +41,7 @@ void Channel::PlaceNode(Node* node, const Point& position) {
 }
 
 void Channel::RebucketNode(Node* node, const Point& position) {
-  if (!params_.use_spatial_grid || grid_dirty_) return;
+  if (grid_dirty_) return;
   const size_t slot = static_cast<size_t>(node->id());
   // Not attached (test rigs) or not yet bucketed: ignore.
   if (slot >= node_cell_of_.size() || node_cell_of_[slot] < 0) return;
@@ -52,71 +50,68 @@ void Channel::RebucketNode(Node* node, const Point& position) {
 
 void Channel::PeriodicSweep() {
   const SimTime now = sim_->Now();
-  const bool rebuild = params_.use_spatial_grid && grid_dirty_;
-  if (!rebuild && now < next_sweep_) return;
+  if (!grid_dirty_ && now < next_sweep_) return;
   next_sweep_ = now + params_.grid_refresh_interval_s;
 
-  if (params_.use_spatial_grid) {
-    if (rebuild) {
-      // Cell size = radio range + the farthest any node can drift from
-      // its bucketed position before the next refresh. This keeps the
-      // 3x3 neighborhood a superset of the true radio disk.
-      double speed_bound = 0.0;
-      for (const Node* n : nodes_) {
-        speed_bound = std::max(speed_bound, n->MaxSpeed());
-      }
-      cell_size_ = std::max(params_.radio_range_m, 1e-3) +
-                   speed_bound * params_.grid_refresh_interval_s;
-      // Fit the cell array to the fleet's current bounding box. Nodes
-      // that later wander outside it are clamped to the border cells,
-      // which preserves the 3x3 superset property (clamping never
-      // increases distances).
-      grid_min_x_ = 0.0;
-      grid_min_y_ = 0.0;
-      double max_x = 0.0;
-      double max_y = 0.0;
-      bool first = true;
-      for (Node* n : nodes_) {
-        const Point p = n->Position();
-        if (first) {
-          grid_min_x_ = max_x = p.x;
-          grid_min_y_ = max_y = p.y;
-          first = false;
-        } else {
-          grid_min_x_ = std::min(grid_min_x_, p.x);
-          grid_min_y_ = std::min(grid_min_y_, p.y);
-          max_x = std::max(max_x, p.x);
-          max_y = std::max(max_y, p.y);
-        }
-      }
-      grid_nx_ = static_cast<int32_t>(
-                     std::floor((max_x - grid_min_x_) / cell_size_)) + 1;
-      grid_ny_ = static_cast<int32_t>(
-                     std::floor((max_y - grid_min_y_) / cell_size_)) + 1;
-      // Collect live air frames before the geometry changes under them.
-      AirLane live_air;
-      for (const AirLane& lane : air_cells_) {
-        for (size_t i = 0; i < lane.end_times.size(); ++i) {
-          if (lane.end_times[i] > now) {
-            live_air.Add(lane.origins[i], lane.end_times[i]);
-          }
-        }
-      }
-      node_cells_.assign(static_cast<size_t>(grid_nx_) * grid_ny_, {});
-      air_cells_.assign(static_cast<size_t>(grid_nx_) * grid_ny_, {});
-      std::fill(node_cell_of_.begin(), node_cell_of_.end(), -1);
-      for (size_t i = 0; i < live_air.end_times.size(); ++i) {
-        air_cells_[CellIndexOf(live_air.origins[i])].Add(
-            live_air.origins[i], live_air.end_times[i]);
-      }
-      grid_dirty_ = false;
+  if (grid_dirty_) {
+    // Cell size = radio range + the farthest any node can drift from
+    // its bucketed position before the next refresh. This keeps the
+    // 3x3 neighborhood a superset of the true radio disk.
+    double speed_bound = 0.0;
+    for (const Node* n : nodes_) {
+      speed_bound = std::max(speed_bound, n->MaxSpeed());
     }
-    // Refresh every bucket from true positions; dead nodes keep moving
-    // (their radio is off, not their legs) and may be revived by churn,
-    // so they stay tracked.
-    for (Node* n : nodes_) PlaceNode(n, n->Position());
-    for (AirLane& lane : air_cells_) lane.Compact(now);
+    cell_size_ = std::max(params_.radio_range_m, 1e-3) +
+                 speed_bound * params_.grid_refresh_interval_s;
+    // Fit the cell array to the fleet's current bounding box. Nodes
+    // that later wander outside it are clamped to the border cells,
+    // which preserves the 3x3 superset property (clamping never
+    // increases distances).
+    grid_min_x_ = 0.0;
+    grid_min_y_ = 0.0;
+    double max_x = 0.0;
+    double max_y = 0.0;
+    bool first = true;
+    for (Node* n : nodes_) {
+      const Point p = n->Position();
+      if (first) {
+        grid_min_x_ = max_x = p.x;
+        grid_min_y_ = max_y = p.y;
+        first = false;
+      } else {
+        grid_min_x_ = std::min(grid_min_x_, p.x);
+        grid_min_y_ = std::min(grid_min_y_, p.y);
+        max_x = std::max(max_x, p.x);
+        max_y = std::max(max_y, p.y);
+      }
+    }
+    grid_nx_ = static_cast<int32_t>(
+                   std::floor((max_x - grid_min_x_) / cell_size_)) + 1;
+    grid_ny_ = static_cast<int32_t>(
+                   std::floor((max_y - grid_min_y_) / cell_size_)) + 1;
+    // Collect live air frames before the geometry changes under them.
+    AirLane live_air;
+    for (const AirLane& lane : air_cells_) {
+      for (size_t i = 0; i < lane.end_times.size(); ++i) {
+        if (lane.end_times[i] > now) {
+          live_air.Add(lane.origins[i], lane.end_times[i]);
+        }
+      }
+    }
+    node_cells_.assign(static_cast<size_t>(grid_nx_) * grid_ny_, {});
+    air_cells_.assign(static_cast<size_t>(grid_nx_) * grid_ny_, {});
+    std::fill(node_cell_of_.begin(), node_cell_of_.end(), -1);
+    for (size_t i = 0; i < live_air.end_times.size(); ++i) {
+      air_cells_[CellIndexOf(live_air.origins[i])].Add(
+          live_air.origins[i], live_air.end_times[i]);
+    }
+    grid_dirty_ = false;
   }
+  // Refresh every bucket from true positions; dead nodes keep moving
+  // (their radio is off, not their legs) and may be revived by churn,
+  // so they stay tracked.
+  for (Node* n : nodes_) PlaceNode(n, n->Position());
+  for (AirLane& lane : air_cells_) lane.Compact(now);
   SweepReceptions(now);
 }
 
@@ -128,14 +123,6 @@ void Channel::GatherReceivers(const Node* sender, const Point& origin) {
     return n != sender && n->alive() &&
            SquaredDistance(n->Position(), origin) <= range2;
   };
-  if (!params_.use_spatial_grid) {
-    // Nodes attach in id order, so the scan is already ascending.
-    stats_.candidates_scanned += nodes_.size();
-    for (Node* n : nodes_) {
-      if (hears(n)) scratch_.emplace_back(n->id(), n);
-    }
-    return;
-  }
   const CellCoord c = CellCoordOf(origin);
   const int32_t x0 = std::max(c.cx - 1, 0);
   const int32_t x1 = std::min(c.cx + 1, grid_nx_ - 1);
@@ -152,10 +139,9 @@ void Channel::GatherReceivers(const Node* sender, const Point& origin) {
   // change that re-buckets the node mid-scan.
   std::erase_if(scratch_,
                 [&](const auto& entry) { return !hears(entry.second); });
-  // Ascending node-id order: matches the brute-force scan, so the
-  // per-receiver RNG draws in Transmit happen in the same sequence and
-  // outcomes stay bit-identical. Ids are carried in the cell entries so
-  // the sort never dereferences a Node.
+  // Ascending node-id order fixes the sequence of per-receiver RNG draws
+  // in Transmit, independent of cell layout and bucket order. Ids are
+  // carried in the cell entries so the sort never dereferences a Node.
   std::sort(scratch_.begin(), scratch_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 }
@@ -163,8 +149,6 @@ void Channel::GatherReceivers(const Node* sender, const Point& origin) {
 bool Channel::IsBusyAt(const Point& pos) const {
   const SimTime now = sim_->Now();
   const double range2 = params_.radio_range_m * params_.radio_range_m;
-
-  if (!params_.use_spatial_grid) return air_.AnyAudible(pos, now, range2);
 
   if (grid_nx_ <= 0) return false;  // No transmission yet.
   const CellCoord c = CellCoordOf(pos);
@@ -218,12 +202,7 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
     // Air-cell occupancy lanes compact in place and only ever grow to the
     // cell's busiest instant: capacity, not per-frame churn.
     AllocScopePause capacity;
-    if (params_.use_spatial_grid) {
-      air_cells_[CellIndexOf(origin)].Add(origin, end);
-    } else {
-      PruneAir();
-      air_.Add(origin, end);
-    }
+    air_cells_[CellIndexOf(origin)].Add(origin, end);
   }
 
   if (fault.duplicate) {

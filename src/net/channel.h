@@ -10,16 +10,16 @@
 // large k, and accuracy degradation from lost packets.
 //
 // Scalability: delivery and carrier sensing are served from a uniform
-// spatial hash grid rather than a full scan over all attached nodes, so
-// per-frame cost is proportional to the local neighborhood instead of the
-// network size. Cell size is `radio_range_m` plus a drift margin
+// spatial hash grid, the channel's only receiver and carrier-sense scan,
+// so per-frame cost is proportional to the local neighborhood instead of
+// the network size. Cell size is `radio_range_m` plus a drift margin
 // (max node speed x refresh interval), which makes a 3x3 cell
 // neighborhood a conservative superset of every node within radio range
 // even though bucketed positions lag true (kinematic) positions by up to
 // one refresh interval. Candidates outside radio range are dropped
 // first, and the receivers left are processed in ascending node-id order
-// before any channel RNG draw, so grid-indexed runs are bit-identical to
-// the brute-force scan (`use_spatial_grid = false`).
+// before any channel RNG draw. channel_grid_test checks the superset
+// against a brute-force scan of every node, run as a TransmitObserver.
 
 #ifndef DIKNN_NET_CHANNEL_H_
 #define DIKNN_NET_CHANNEL_H_
@@ -52,10 +52,6 @@ struct ChannelParams {
   double loss_rate = 0.0;       ///< Per-receiver independent drop prob.
   bool capture = false;         ///< If true, the earlier frame survives a
                                 ///  collision when it is already mid-air.
-  /// Serve delivery and carrier sensing from the spatial hash grid. The
-  /// brute-force O(N) scan is kept for equivalence testing; both paths
-  /// produce bit-identical outcomes for the same seed.
-  bool use_spatial_grid = true;
   /// How often (simulated seconds) every node is re-bucketed into the
   /// grid. Larger values mean fewer refresh sweeps but a wider drift
   /// margin (and hence larger cells). Leg-change notifications from the
@@ -71,7 +67,7 @@ struct ChannelStats {
   uint64_t receptions_collided = 0;
   uint64_t receptions_lost = 0;  ///< Random loss (non-collision).
   /// Receiver candidates examined across all transmissions (range checks
-  /// performed). The grid's win over the brute-force scan shows up here.
+  /// performed): the population of each frame's 3x3 cell neighborhood.
   uint64_t candidates_scanned = 0;
   /// Summed on-air time of every transmitted frame (seconds). Divided by
   /// elapsed sim time this is the medium's offered-load share — the
@@ -103,7 +99,7 @@ class Channel {
 
   /// Re-buckets `node` at `position` in the spatial grid. Invoked by the
   /// mobility layer's leg-change hook; harmless no-op for unattached
-  /// nodes or when the grid is disabled / not yet built.
+  /// nodes or when the grid is not yet built.
   void RebucketNode(Node* node, const Point& position);
 
   /// Air time of a frame of `bytes` (including MAC header) at the
@@ -235,9 +231,9 @@ class Channel {
     }
   };
 
-  // Frames currently in the air (carrier sensing), struct-of-arrays for
-  // the same reason: IsBusyAt scans `end_times` first and reads the
-  // origin only for non-expired frames.
+  // Frames currently in the air from one grid cell (carrier sensing),
+  // struct-of-arrays for the same reason: IsBusyAt scans `end_times`
+  // first and reads the origin only for non-expired frames.
   struct AirLane {
     std::vector<SimTime> end_times;
     std::vector<Point> origins;
@@ -291,10 +287,6 @@ class Channel {
     return c.cy * grid_nx_ + c.cx;
   }
 
-  // Drops expired frames from the brute-force air lane (anywhere in the
-  // lane, not just the front, so one long frame cannot pin short ones).
-  void PruneAir();
-
   // Fires the batched delivery of one pooled frame, then releases its
   // slot.
   void DeliverFrame(FrameHandle handle);
@@ -314,8 +306,8 @@ class Channel {
 
   // Collects the receivers of a frame `sender` airs from `origin` into
   // `scratch_`: live nodes other than the sender within radio range, in
-  // ascending node id. Candidates come from the 3x3 cell neighborhood
-  // (or every node, brute force); each one counts in candidates_scanned.
+  // ascending node id. Candidates come from the 3x3 cell neighborhood;
+  // each one counts in candidates_scanned.
   void GatherReceivers(const Node* sender, const Point& origin);
 
   // Erases entries in `active_receptions_` whose receptions all ended.
@@ -337,7 +329,6 @@ class Channel {
   // Swept periodically, so memory stays bounded by the live population
   // even across churn-heavy runs.
   std::vector<ReceptionLane> active_receptions_;
-  AirLane air_;  // Brute-force mode only.
   ChannelStats stats_;
   AllocCounters net_allocs_;
 

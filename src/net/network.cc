@@ -23,7 +23,7 @@ std::unique_ptr<MobilityModel> MakeMobility(const NetworkConfig& config,
 }  // namespace
 
 Network::Network(const NetworkConfig& config)
-    : config_(config), sim_(config.scheduler), rng_(config.seed) {
+    : config_(config), rng_(config.seed) {
   if (!config_.explicit_positions.empty()) {
     config_.node_count =
         static_cast<int>(config_.explicit_positions.size());
@@ -32,7 +32,6 @@ Network::Network(const NetworkConfig& config)
   chan.radio_range_m = config.radio_range_m;
   chan.bit_rate_bps = config.bit_rate_bps;
   chan.loss_rate = config.loss_rate;
-  chan.use_spatial_grid = config.use_spatial_grid;
   channel_ = std::make_unique<Channel>(&sim_, chan, rng_.Fork());
 
   const std::vector<Point> positions =

@@ -1,6 +1,7 @@
 // The Network assembles the whole substrate: simulator, channel, nodes
 // with mobility, and periodic beaconing. It also provides the ground-truth
-// KNN oracle used to score query accuracy.
+// KNN oracle used to score query accuracy. The substrate has one scheduler
+// (the timer wheel) and one receiver scan (the channel's spatial grid).
 
 #ifndef DIKNN_NET_NETWORK_H_
 #define DIKNN_NET_NETWORK_H_
@@ -33,14 +34,7 @@ struct NetworkConfig {
   double radio_range_m = 20.0;
   double bit_rate_bps = 250e3;
   double loss_rate = 0.0;
-  /// Serve channel delivery / carrier sensing from the spatial hash grid
-  /// (bit-identical to the brute-force scan; see ChannelParams).
-  bool use_spatial_grid = true;
-  /// Scheduler implementation for this network's simulator. The timer
-  /// wheel (default) and the legacy binary heap fire events in an
-  /// identical order (docs/ENGINE.md), so runs are bit-identical either
-  /// way; the heap is kept for bench_engine A/B runs and the
-  /// engine_determinism_test equivalence checks.
+  /// Unread; kept for perfbench/workloads.cc until the next bench change.
   EngineKind scheduler = EngineKind::kWheel;
   SimTime beacon_interval = 0.5;
   SimTime neighbor_timeout = 1.5;

@@ -61,8 +61,6 @@ class FieldPartition {
   /// neighbor entirely), so the effective shard count is clamped to what
   /// (nx / kMinTileSpan) x (ny / kMinTileSpan) tiles can grant.
   static constexpr int kMinTileSpan = 3;
-  /// Historical name from the strips-only engine; same constant.
-  static constexpr int kMinStripColumns = kMinTileSpan;
 
   FieldPartition(const PsimNetParams& params, int requested_shards);
 

@@ -77,6 +77,7 @@ struct PsimConfig {
   double max_speed = 10.0;  ///< mu_max; 0 = static nodes.
   double grid_refresh_interval_s = 0.25;
   MacParams mac;
+  /// Unread; kept for perfbench/workloads.cc until the next bench change.
   EngineKind scheduler = EngineKind::kWheel;
   int shards = 1;           ///< Requested; clamped by the partition.
   SimTime duration = 5.0;

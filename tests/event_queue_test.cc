@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_event_heap.h"
+
 namespace diknn {
 namespace {
 
@@ -224,21 +226,29 @@ TEST(EventQueueTest, OverflowTierFiresInOrderAcrossWheelRollover) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueueTest, LegacyHeapEngineMatchesWheelSemantics) {
-  for (const EngineKind kind :
-       {EngineKind::kWheel, EngineKind::kLegacyHeap}) {
-    EventQueue q(kind);
-    std::vector<int> order;
-    const EventId dropped = q.Push(1.0, [&] { order.push_back(-1); });
-    for (int i = 0; i < 3; ++i) q.Push(2.0, [&order, i] { order.push_back(i); });
-    q.Push(1.5, [&] { order.push_back(10); });
-    q.Cancel(dropped);
-    EXPECT_EQ(q.Size(), 4u);
-    while (!q.Empty()) q.Pop(nullptr)();
-    EXPECT_EQ(order, (std::vector<int>{10, 0, 1, 2}));
-    EXPECT_EQ(q.stats().events_fired, 4u);
-    EXPECT_EQ(q.stats().events_cancelled, 1u);
-  }
+// Replays one push/cancel/pop sequence through `Queue` and returns the
+// firing order; the queue's counters must agree with it.
+template <typename Queue>
+std::vector<int> CancelAndTieBreakOrder() {
+  Queue q;
+  std::vector<int> order;
+  const EventId dropped = q.Push(1.0, [&] { order.push_back(-1); });
+  for (int i = 0; i < 3; ++i) q.Push(2.0, [&order, i] { order.push_back(i); });
+  q.Push(1.5, [&] { order.push_back(10); });
+  q.Cancel(dropped);
+  EXPECT_FALSE(q.IsPending(dropped));
+  EXPECT_EQ(q.Size(), 4u);
+  EXPECT_EQ(q.NextTime(), 1.5);
+  while (!q.Empty()) q.Pop(nullptr)();
+  EXPECT_EQ(q.stats().events_fired, 4u);
+  EXPECT_EQ(q.stats().events_cancelled, 1u);
+  return order;
+}
+
+TEST(EventQueueTest, ReferenceHeapMatchesWheelSemantics) {
+  const std::vector<int> wheel = CancelAndTieBreakOrder<EventQueue>();
+  EXPECT_EQ(wheel, (std::vector<int>{10, 0, 1, 2}));
+  EXPECT_EQ(wheel, CancelAndTieBreakOrder<ReferenceEventHeap>());
 }
 
 TEST(EventQueueTest, PushDuringDrainOfSameTimestampKeepsFifo) {

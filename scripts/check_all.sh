@@ -10,7 +10,8 @@
 # whose Chrome-trace and metrics JSON are validated with python3 — the
 # metrics must report zero steady-state packet-plane allocations
 # (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md),
-# the same gate on a 60 s sharded beacon-substrate run, the CLI's refusal
+# the same gate on a 60 s sharded beacon-substrate run (which must also
+# report its traffic under the serial channel.* names), the CLI's refusal
 # of serial-only options on the windowed engine, and the flight
 # recorder's determinism across --jobs and shard counts.
 #
@@ -84,10 +85,18 @@ if command -v python3 >/dev/null; then
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-allocs = {k: v for k, v in doc["counters"].items() if k.endswith(".allocs")}
+counters = doc["counters"]
+allocs = {k: v for k, v in counters.items() if k.endswith(".allocs")}
 if allocs.get("net.allocs") != 0 or any(allocs.values()):
     raise SystemExit(f"sharded allocation gate: expected zeros, got {allocs}")
-print(f"sharded run: {allocs}")
+# The windowed engine reports traffic under the serial stack's names.
+if not counters.get("channel.frames_sent", 0) > 0:
+    raise SystemExit("sharded run: channel.frames_sent missing or zero")
+if "psim.frames_sent" in counters:
+    raise SystemExit("sharded run: psim.frames_sent duplicates "
+                     "channel.frames_sent")
+print(f"sharded run: {allocs}, "
+      f"channel.frames_sent={counters['channel.frames_sent']}")
 PY
 else
   echo "python3 not found; skipping sharded allocation validation"

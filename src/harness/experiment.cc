@@ -57,55 +57,27 @@ ProtocolStack::ProtocolStack(const ExperimentConfig& config, uint64_t seed) {
       protocol_ = std::move(p);
       break;
     }
-    case ProtocolKind::kKptKnnb: {
-      auto p = std::make_unique<KptKnnb>(network_.get(), gpsr_.get(),
-                                         config.kpt);
-      kpt_ = p.get();
-      protocol_ = std::move(p);
+    case ProtocolKind::kKptKnnb:
+      protocol_ = std::make_unique<KptKnnb>(network_.get(), gpsr_.get(),
+                                            config.kpt);
       break;
-    }
-    case ProtocolKind::kPeerTree: {
-      auto p = std::make_unique<PeerTree>(network_.get(), gpsr_.get(),
-                                          config.peertree);
-      peertree_ = p.get();
-      protocol_ = std::move(p);
+    case ProtocolKind::kPeerTree:
+      protocol_ = std::make_unique<PeerTree>(network_.get(), gpsr_.get(),
+                                             config.peertree);
       break;
-    }
-    case ProtocolKind::kFlooding: {
-      auto p = std::make_unique<Flooding>(network_.get(), gpsr_.get(),
-                                          config.flooding);
-      flooding_ = p.get();
-      protocol_ = std::move(p);
+    case ProtocolKind::kFlooding:
+      protocol_ = std::make_unique<Flooding>(network_.get(), gpsr_.get(),
+                                             config.flooding);
       break;
-    }
-    case ProtocolKind::kCentralized: {
-      auto p = std::make_unique<CentralizedIndex>(
+    case ProtocolKind::kCentralized:
+      protocol_ = std::make_unique<CentralizedIndex>(
           network_.get(), gpsr_.get(), config.centralized);
-      centralized_ = p.get();
-      protocol_ = std::move(p);
       break;
-    }
   }
   protocol_->Install();
 }
 
 namespace {
-
-// Copies the simulator's scheduler counters into the run's metrics.
-void FillEngineCounters(const Simulator& sim, RunMetrics* metrics) {
-  const EngineStats& stats = sim.engine_stats();
-  EngineRunCounters& out = metrics->engine;
-  out.events_pushed = stats.events_pushed;
-  out.events_fired = stats.events_fired;
-  out.events_cancelled = stats.events_cancelled;
-  out.wheel_scheduled = stats.wheel_scheduled;
-  out.overflow_scheduled = stats.overflow_scheduled;
-  out.inline_callbacks = stats.inline_callbacks;
-  out.heap_callbacks = stats.heap_callbacks;
-  out.peak_live = stats.peak_live;
-  out.peak_resident = stats.peak_resident;
-  out.peak_pool_slots = stats.peak_pool_slots;
-}
 
 // Freezes the run's named metrics into metrics->obs. Called after every
 // other RunMetrics field is final so engine / fault / lifecycle values
@@ -178,7 +150,7 @@ void PublishObsMetrics(Network& net, const GpsrRouting& gpsr,
     reg.PublishCounter("diknn.dead_node_drops", ds.dead_node_drops);
   }
 
-  const EngineRunCounters& en = metrics->engine;
+  const EngineStats& en = metrics->engine;
   reg.PublishCounter("engine.events_pushed", en.events_pushed);
   reg.PublishCounter("engine.events_fired", en.events_fired);
   reg.PublishCounter("engine.events_cancelled", en.events_cancelled);
@@ -374,7 +346,7 @@ void InstallWorkloadProbes(FlightRecorder* rec, const QueryDriver* driver) {
 
 // A sharded (or force-windowed) run: hand the beacon substrate to the
 // parallel engine. No queries run, so the RunMetrics carry only the
-// average degree, merged per-shard scheduler stats, the psim.*
+// average degree, merged per-shard scheduler stats, the substrate's
 // observability snapshot and the flight recording.
 RunMetrics RunPsimSubstrate(const ExperimentConfig& config, uint64_t seed) {
   const NetworkConfig& net = config.network;
@@ -400,20 +372,73 @@ RunMetrics RunPsimSubstrate(const ExperimentConfig& config, uint64_t seed) {
   metrics.average_degree = result.average_degree;
   metrics.shards_requested = result.shards_requested;
   metrics.shards_effective = result.shards;
-  EngineRunCounters& en = metrics.engine;
-  en.events_pushed = result.engine.events_pushed;
-  en.events_fired = result.engine.events_fired;
-  en.events_cancelled = result.engine.events_cancelled;
-  en.wheel_scheduled = result.engine.wheel_scheduled;
-  en.overflow_scheduled = result.engine.overflow_scheduled;
-  en.inline_callbacks = result.engine.inline_callbacks;
-  en.heap_callbacks = result.engine.heap_callbacks;
-  en.peak_live = result.engine.peak_live;
-  en.peak_resident = result.engine.peak_resident;
-  en.peak_pool_slots = result.engine.peak_pool_slots;
+  metrics.engine = result.engine;
   metrics.obs = result.obs;
   metrics.ts = std::move(result.ts);
   return metrics;
+}
+
+// The paper's query generator (Section 5.1): Poisson arrivals from a
+// random (mobile) sink to a uniformly random query point, issued during
+// [now, now + duration) and drained for `drain` more seconds. Each issue
+// snapshots the ground truth for pre-accuracy; the completion handler
+// snapshots it again for post-accuracy. Returns the completed queries'
+// records in completion order.
+std::vector<QueryRecord> RunPaperQueries(const ExperimentConfig& config,
+                                         uint64_t seed, Network* net,
+                                         KnnProtocol* protocol) {
+  Simulator& sim = net->sim();
+  Rng workload_rng(seed * 0x9e3779b97f4a7c15ULL + 17);
+  auto records = std::make_shared<std::vector<QueryRecord>>();
+  const SimTime deadline = sim.Now() + config.duration;
+  struct Generator {
+    ExperimentConfig config;
+    Network* net;
+    KnnProtocol* protocol;
+    std::shared_ptr<std::vector<QueryRecord>> records;
+    Rng rng;
+    SimTime deadline;
+
+    void IssueNext() {
+      Simulator& sim = net->sim();
+      const SimTime next =
+          sim.Now() + rng.Exponential(config.query_interval_mean);
+      if (next >= deadline) return;
+      sim.ScheduleAt(next, [this]() {
+        const NodeId sink =
+            config.static_sink
+                ? 0
+                : rng.UniformInt(0, config.network.node_count - 1);
+        const Point q = rng.PointInRect(config.network.field);
+        const auto truth_pre = net->TrueKnn(q, config.k);
+        const SimTime issued = net->sim().Now();
+        auto records_ref = records;
+        Network* net_ref = net;
+        const int k = config.k;
+        protocol->IssueQuery(
+            sink, q, k,
+            [records_ref, net_ref, q, k, truth_pre,
+             issued](const KnnResult& result) {
+              QueryRecord rec;
+              rec.query_id = result.query_id;
+              rec.latency = result.Latency();
+              rec.timed_out = result.timed_out;
+              const auto returned = result.CandidateIds();
+              rec.pre_accuracy = Accuracy(returned, truth_pre);
+              rec.post_accuracy =
+                  Accuracy(returned, net_ref->TrueKnn(q, k));
+              records_ref->push_back(rec);
+            });
+        IssueNext();
+      });
+    }
+  };
+  Generator generator{config, net, protocol, records, workload_rng, deadline};
+  generator.IssueNext();
+  // Every generator event falls before `deadline`, so all have fired by
+  // the time RunUntil returns: none outlives `generator`.
+  sim.RunUntil(deadline + config.drain);
+  return *records;
 }
 
 }  // namespace
@@ -497,8 +522,6 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
   const double query_baseline = net.TotalEnergy(EnergyCategory::kQuery);
   const double beacon_baseline = net.TotalEnergy(EnergyCategory::kBeacon);
 
-  RunMetrics metrics;
-
   // Steady-state mark for the allocation gate: halfway through the
   // measured window reset the subsystem counters and remember how many
   // frames the air had carried, so net.alloc_per_frame measures only the
@@ -517,17 +540,22 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
                    });
   }
 
+  RunMetrics metrics;
+  std::vector<double> resolved;  // Latencies of the answered queries.
+
   // Workload-spec path: hand the run to the QueryDriver (concurrent
   // queries, mixed classes, deadlines, admission control) and score an
   // SloReport. Shares the paper path's derived seed so a knn-only spec
-  // sees the same arrival stream the paper generator would.
+  // sees the same arrival stream the paper generator would. The driver
+  // stays alive through the shared tail below.
+  std::optional<QueryDriver> driver;
   if (config.workload.has_value()) {
-    QueryDriver driver(&net, &stack.gpsr(), &stack.protocol(),
-                       *config.workload, seed * 0x9e3779b97f4a7c15ULL + 17,
-                       config.static_sink ? 0 : kInvalidNodeId);
-    driver.set_tracer(tracer.get());
-    if (recorder != nullptr) InstallWorkloadProbes(recorder.get(), &driver);
-    metrics.slo = driver.Run(config.duration, config.drain);
+    driver.emplace(&net, &stack.gpsr(), &protocol, *config.workload,
+                   seed * 0x9e3779b97f4a7c15ULL + 17,
+                   config.static_sink ? 0 : kInvalidNodeId);
+    driver->set_tracer(tracer.get());
+    if (recorder != nullptr) InstallWorkloadProbes(recorder.get(), &*driver);
+    metrics.slo = driver->Run(config.duration, config.drain);
 
     metrics.queries = static_cast<int>(metrics.slo.issued);
     metrics.timeouts = static_cast<int>(metrics.slo.timed_out);
@@ -535,27 +563,15 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
     metrics.p50_latency = metrics.slo.p50();
     metrics.p95_latency = metrics.slo.p95();
     metrics.p99_latency = metrics.slo.p99();
-    metrics.avg_pre_accuracy = driver.MeanPreAccuracy();
-    metrics.avg_post_accuracy = driver.MeanPostAccuracy();
-    metrics.energy_joules =
-        (net.TotalEnergy(EnergyCategory::kQuery) - query_baseline) +
-        (net.TotalEnergy(EnergyCategory::kMaintenance) -
-         maintenance_baseline);
-    metrics.beacon_energy_joules =
-        net.TotalEnergy(EnergyCategory::kBeacon) - beacon_baseline;
-    metrics.average_degree = net.AverageDegree();
-    if (injector != nullptr) {
-      metrics.faults_injected = injector->stats().Total();
-    }
-    if (auditor != nullptr) {
-      metrics.lifecycle_checks = auditor->checks();
-      metrics.lifecycle_violations = auditor->violations();
-      metrics.leaked_entries = auditor->FinalResidue();
-      if (!auditor->FlowStateBounded()) ++metrics.lifecycle_violations;
-    }
-    if (records_out != nullptr) {
-      records_out->clear();
-      for (const WorkloadQueryRecord& r : driver.records()) {
+    metrics.avg_pre_accuracy = driver->MeanPreAccuracy();
+    metrics.avg_post_accuracy = driver->MeanPostAccuracy();
+    if (records_out != nullptr) records_out->clear();
+    for (const WorkloadQueryRecord& r : driver->records()) {
+      if (r.outcome == QueryOutcome::kCompleted ||
+          r.outcome == QueryOutcome::kDeadlineMissed) {
+        resolved.push_back(r.latency);
+      }
+      if (records_out != nullptr) {
         QueryRecord rec;
         rec.query_id = r.id;
         rec.latency = r.latency;
@@ -565,96 +581,32 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
         records_out->push_back(rec);
       }
     }
-    FillEngineCounters(sim, &metrics);
-    std::vector<double> resolved;
-    for (const WorkloadQueryRecord& r : driver.records()) {
-      if (r.outcome == QueryOutcome::kCompleted ||
-          r.outcome == QueryOutcome::kDeadlineMissed) {
+  } else {
+    const std::vector<QueryRecord> records =
+        RunPaperQueries(config, seed, &net, &protocol);
+    metrics.queries = static_cast<int>(records.size());
+    std::vector<double> lat, pre, post;
+    for (const QueryRecord& r : records) {
+      if (r.timed_out) {
+        ++metrics.timeouts;
+      } else {
         resolved.push_back(r.latency);
       }
+      lat.push_back(r.latency);
+      pre.push_back(r.pre_accuracy);
+      post.push_back(r.post_accuracy);
     }
-    PublishObsMetrics(net, stack.gpsr(), stack.diknn(),
-                      tracer.get(), resolved, *steady_frames_baseline,
-                      &metrics);
-    if (recorder != nullptr) metrics.ts = recorder->series();
-    if (trace_out != nullptr && tracer != nullptr) {
-      *trace_out = tracer->Snapshot();
-    }
-    return metrics;
+    metrics.avg_latency = Summarize(lat).mean;
+    const std::vector<double> tails = Percentiles(lat, {50.0, 95.0, 99.0});
+    metrics.p50_latency = tails[0];
+    metrics.p95_latency = tails[1];
+    metrics.p99_latency = tails[2];
+    metrics.avg_pre_accuracy = Summarize(pre).mean;
+    metrics.avg_post_accuracy = Summarize(post).mean;
+    if (records_out != nullptr) *records_out = records;
   }
 
-  Rng workload_rng(seed * 0x9e3779b97f4a7c15ULL + 17);
-  auto records = std::make_shared<std::vector<QueryRecord>>();
-
-  // Query generator: Poisson arrivals from a random (mobile) sink to a
-  // uniformly random query point. Each issue snapshots the ground truth
-  // for pre-accuracy; the completion handler snapshots it again for
-  // post-accuracy.
-  const SimTime start = sim.Now();
-  const SimTime deadline = start + config.duration;
-  struct Generator {
-    ExperimentConfig config;
-    Network* net;
-    KnnProtocol* protocol;
-    std::shared_ptr<std::vector<QueryRecord>> records;
-    Rng rng;
-    SimTime deadline;
-
-    void IssueNext() {
-      Simulator& sim = net->sim();
-      const SimTime next =
-          sim.Now() + rng.Exponential(config.query_interval_mean);
-      if (next >= deadline) return;
-      sim.ScheduleAt(next, [this]() {
-        const NodeId sink =
-            config.static_sink
-                ? 0
-                : rng.UniformInt(0, config.network.node_count - 1);
-        const Point q = rng.PointInRect(config.network.field);
-        const auto truth_pre = net->TrueKnn(q, config.k);
-        const SimTime issued = net->sim().Now();
-        auto records_ref = records;
-        Network* net_ref = net;
-        const int k = config.k;
-        protocol->IssueQuery(
-            sink, q, k,
-            [records_ref, net_ref, q, k, truth_pre,
-             issued](const KnnResult& result) {
-              QueryRecord rec;
-              rec.query_id = result.query_id;
-              rec.latency = result.Latency();
-              rec.timed_out = result.timed_out;
-              const auto returned = result.CandidateIds();
-              rec.pre_accuracy = Accuracy(returned, truth_pre);
-              rec.post_accuracy =
-                  Accuracy(returned, net_ref->TrueKnn(q, k));
-              records_ref->push_back(rec);
-            });
-        IssueNext();
-      });
-    }
-  };
-  auto generator = std::make_shared<Generator>(
-      Generator{config, &net, &protocol, records, workload_rng, deadline});
-  generator->IssueNext();
-
-  sim.RunUntil(deadline + config.drain);
-
-  metrics.queries = static_cast<int>(records->size());
-  std::vector<double> lat, pre, post;
-  for (const QueryRecord& r : *records) {
-    if (r.timed_out) ++metrics.timeouts;
-    lat.push_back(r.latency);
-    pre.push_back(r.pre_accuracy);
-    post.push_back(r.post_accuracy);
-  }
-  metrics.avg_latency = Summarize(lat).mean;
-  const std::vector<double> tails = Percentiles(lat, {50.0, 95.0, 99.0});
-  metrics.p50_latency = tails[0];
-  metrics.p95_latency = tails[1];
-  metrics.p99_latency = tails[2];
-  metrics.avg_pre_accuracy = Summarize(pre).mean;
-  metrics.avg_post_accuracy = Summarize(post).mean;
+  // Shared tail of both query paths.
   metrics.energy_joules =
       (net.TotalEnergy(EnergyCategory::kQuery) - query_baseline) +
       (net.TotalEnergy(EnergyCategory::kMaintenance) - maintenance_baseline);
@@ -670,16 +622,9 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
     metrics.leaked_entries = auditor->FinalResidue();
     if (!auditor->FlowStateBounded()) ++metrics.lifecycle_violations;
   }
-
-  if (records_out != nullptr) *records_out = *records;
-  FillEngineCounters(sim, &metrics);
-  std::vector<double> resolved;
-  for (const QueryRecord& r : *records) {
-    if (!r.timed_out) resolved.push_back(r.latency);
-  }
-  PublishObsMetrics(net, stack.gpsr(), stack.diknn(),
-                    tracer.get(), resolved, *steady_frames_baseline,
-                    &metrics);
+  metrics.engine = sim.engine_stats();
+  PublishObsMetrics(net, stack.gpsr(), stack.diknn(), tracer.get(), resolved,
+                    *steady_frames_baseline, &metrics);
   if (recorder != nullptr) metrics.ts = recorder->series();
   if (trace_out != nullptr && tracer != nullptr) {
     *trace_out = tracer->Snapshot();

@@ -81,7 +81,7 @@ struct ExperimentConfig {
   /// the sensor field (column strips, or a rows x cols grid when the
   /// field is too narrow for that many strips) and runs the beacon
   /// substrate alone on the conservative parallel engine (src/psim): no
-  /// queries, no protocol, no energy or accuracy — only psim.* traffic
+  /// queries, no protocol, no energy or accuracy — only traffic
   /// counters, the average degree and the flight recording, each
   /// byte-equal across shard counts (psim_determinism_test). RunOnce
   /// aborts when `workload` is set together with shards > 1. The total
@@ -127,20 +127,12 @@ class ProtocolStack {
 
   /// The DIKNN instance, if this stack runs DIKNN (else nullptr).
   Diknn* diknn() { return diknn_; }
-  KptKnnb* kpt() { return kpt_; }
-  PeerTree* peertree() { return peertree_; }
-  Flooding* flooding() { return flooding_; }
-  CentralizedIndex* centralized() { return centralized_; }
 
  private:
   std::unique_ptr<Network> network_;
   std::unique_ptr<GpsrRouting> gpsr_;
   std::unique_ptr<KnnProtocol> protocol_;
   Diknn* diknn_ = nullptr;
-  KptKnnb* kpt_ = nullptr;
-  PeerTree* peertree_ = nullptr;
-  Flooding* flooding_ = nullptr;
-  CentralizedIndex* centralized_ = nullptr;
 };
 
 /// Runs one seeded simulation and returns its metrics. `records_out`, when

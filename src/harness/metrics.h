@@ -17,9 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "net/packet.h"
+#include "knn/query.h"  // Accuracy(), the per-query accuracy definition.
 #include "obs/metrics_registry.h"
 #include "obs/timeseries.h"
+#include "sim/event_queue.h"
 #include "workload/latency_histogram.h"
 
 namespace diknn {
@@ -31,36 +32,6 @@ struct QueryRecord {
   double pre_accuracy = 0.0;
   double post_accuracy = 0.0;
   bool timed_out = false;
-};
-
-/// Accuracy of a returned id set against the ground truth: the fraction
-/// of true KNNs present in `returned`.
-double Accuracy(const std::vector<NodeId>& returned,
-                const std::vector<NodeId>& truth);
-
-/// Scheduler-engine counters of one run (from Simulator::engine_stats()):
-/// event churn, wheel-vs-overflow split, callback storage split, and the
-/// run's peak scheduler footprint. Diagnostics only — excluded from the
-/// bit-identity contract because they naturally differ across engine
-/// kinds (bench_engine reports them per engine).
-struct EngineRunCounters {
-  uint64_t events_pushed = 0;
-  uint64_t events_fired = 0;
-  uint64_t events_cancelled = 0;
-  uint64_t wheel_scheduled = 0;     ///< Pushes inside the wheel horizon.
-  uint64_t overflow_scheduled = 0;  ///< Pushes parked in the overflow heap.
-  uint64_t inline_callbacks = 0;    ///< Callbacks stored without allocation.
-  uint64_t heap_callbacks = 0;
-  uint64_t peak_live = 0;           ///< Peak live (pending) events.
-  uint64_t peak_resident = 0;       ///< Peak resident entries (live + not-
-                                    ///< yet-reclaimed cancelled).
-  uint64_t peak_pool_slots = 0;     ///< Slab pool high-water mark.
-
-  /// Fraction of pushes served by the wheel tier (0 when none).
-  double WheelFraction() const {
-    const uint64_t total = wheel_scheduled + overflow_scheduled;
-    return total > 0 ? static_cast<double>(wheel_scheduled) / total : 0.0;
-  }
 };
 
 /// Aggregated outcome of one simulation run.
@@ -90,8 +61,9 @@ struct RunMetrics {
   /// driven by a WorkloadSpec (ExperimentConfig::workload); empty (issued
   /// == 0) on paper-style runs.
   SloReport slo;
-  /// Scheduler counters for the run.
-  EngineRunCounters engine;
+  /// Scheduler counters for the run: the simulator's, or on the
+  /// windowed engine the shards' merged with MergeEngineStats.
+  EngineStats engine;
   /// Named observability metrics published at the end of the run
   /// (channel / MAC / GPSR / protocol / engine / tracer counters plus the
   /// query-latency histogram). Merged across runs in seed order, so the

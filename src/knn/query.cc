@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace diknn {
 
@@ -10,6 +11,17 @@ std::vector<NodeId> KnnResult::CandidateIds() const {
   ids.reserve(candidates.size());
   for (const KnnCandidate& c : candidates) ids.push_back(c.id);
   return ids;
+}
+
+double Accuracy(const std::vector<NodeId>& returned,
+                const std::vector<NodeId>& truth) {
+  if (truth.empty()) return 1.0;
+  std::unordered_set<NodeId> got(returned.begin(), returned.end());
+  int hits = 0;
+  for (NodeId id : truth) {
+    if (got.contains(id)) ++hits;
+  }
+  return static_cast<double>(hits) / truth.size();
 }
 
 void PruneCandidates(std::vector<KnnCandidate>* candidates, const Point& q,

@@ -49,6 +49,11 @@ struct KnnResult {
   std::vector<NodeId> CandidateIds() const;
 };
 
+/// Query accuracy (Section 5.1): the fraction of the true KNN ids
+/// `truth` present in `returned`; 1 when `truth` is empty.
+double Accuracy(const std::vector<NodeId>& returned,
+                const std::vector<NodeId>& truth);
+
 /// Invoked at the sink when a query completes (or times out).
 using ResultHandler = std::function<void(const KnnResult&)>;
 

@@ -388,8 +388,8 @@ PsimResult PsimEngine::Run() {
 
 MetricsSnapshot PsimEngine::BuildObsSnapshot(
     const PsimResult& result) const {
-  // One registry per shard, merged in shard order: canonical psim.* and
-  // net.* counters add up to the partition-invariant totals, while the
+  // One registry per shard, merged in shard order: the canonical
+  // counters add up to the partition-invariant totals, while the
   // ShardMetricName entries attribute work to individual shards.
   std::vector<MetricsSnapshot> snaps;
   snaps.reserve(result.shard_stats.size());
@@ -397,17 +397,19 @@ MetricsSnapshot PsimEngine::BuildObsSnapshot(
     const PsimStats& st = result.shard_stats[s];
     const EngineStats& es = result.shard_engine[s];
     MetricsRegistry reg;
-    reg.PublishCounter("psim.frames_sent", st.frames_sent);
+    // Quantities the serial stack also counts carry its names, so a
+    // serial and a sharded snapshot diff key by key; the rest is psim.*.
+    reg.PublishCounter("channel.frames_sent", st.frames_sent);
+    reg.PublishCounter("channel.receptions_attempted",
+                       st.receptions_attempted);
+    reg.PublishCounter("channel.receptions_delivered",
+                       st.receptions_delivered);
+    reg.PublishCounter("channel.receptions_collided",
+                       st.receptions_collided);
+    reg.PublishCounter("channel.receptions_lost", st.receptions_lost);
+    reg.PublishCounter("mac.csma_failures", st.csma_failures);
     reg.PublishCounter("psim.csma_attempts", st.csma_attempts);
     reg.PublishCounter("psim.csma_busy", st.csma_busy);
-    reg.PublishCounter("psim.csma_failures", st.csma_failures);
-    reg.PublishCounter("psim.receptions_attempted",
-                       st.receptions_attempted);
-    reg.PublishCounter("psim.receptions_delivered",
-                       st.receptions_delivered);
-    reg.PublishCounter("psim.receptions_collided",
-                       st.receptions_collided);
-    reg.PublishCounter("psim.receptions_lost", st.receptions_lost);
     reg.PublishCounter("psim.candidates_scanned", st.candidates_scanned);
     reg.PublishCounter("psim.neighbor_updates", st.neighbor_updates);
     reg.PublishCounter("psim.boundary_frames", st.boundary_frames);

@@ -47,7 +47,8 @@ struct PsimResult {
   std::vector<PsimStats> shard_stats;     ///< Per shard, in shard order.
   EngineStats engine;                     ///< Merged scheduler counters.
   std::vector<EngineStats> shard_engine;  ///< Per-shard scheduler counters.
-  MetricsSnapshot obs;                    ///< psim.* / net.* / engine.*.
+  MetricsSnapshot obs;                    ///< channel.* / mac.* / psim.* /
+                                          ///< net.* / engine.*.
   int shards = 1;                         ///< Effective shard count.
   int shards_requested = 1;               ///< Before the geometry clamp.
   uint64_t windows = 0;

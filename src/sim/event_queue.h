@@ -159,8 +159,15 @@ class EventQueue {
     bool live = false;
   };
 
+  /// Last bucket index: every time from ~4.6e15 s on shares it (its run
+  /// is still sorted by time), and cur_bucket_ + kWheelSlots stays far
+  /// from int64 overflow.
+  static constexpr int64_t kMaxBucket = int64_t{1} << 62;
+
   static int64_t BucketOf(SimTime t) {
-    return static_cast<int64_t>(t * (1.0 / kSlotWidthS));
+    const double b = t * (1.0 / kSlotWidthS);
+    return b < static_cast<double>(kMaxBucket) ? static_cast<int64_t>(b)
+                                               : kMaxBucket;
   }
 
   EventId PushFn(SimTime t, SmallFn fn);

@@ -251,6 +251,51 @@ TEST(EventQueueTest, ReferenceHeapMatchesWheelSemantics) {
   EXPECT_EQ(wheel, CancelAndTieBreakOrder<ReferenceEventHeap>());
 }
 
+TEST(EventQueueTest, FarFutureEventFiresLast) {
+  // t * 1000 exceeds int64 range here; such an event must not land in
+  // the current bucket and block the earlier ones.
+  EventQueue q;
+  std::vector<int> order;
+  q.Push(1e16, [&] { order.push_back(2); });
+  q.Push(1.0, [&] { order.push_back(0); });
+  q.Push(2.0, [&] { order.push_back(1); });
+  SimTime last = -1.0;
+  while (!q.Empty()) {
+    SimTime t;
+    q.Pop(&t)();
+    EXPECT_GE(t, last);
+    last = t;
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// Far-future times past the last bucket, ties among them, and pushes
+// made while that shared bucket drains; returns the firing order.
+template <typename Queue>
+std::vector<int> FarFutureOrder() {
+  Queue q;
+  std::vector<int> order;
+  const std::vector<SimTime> times = {1e16, 2.0,  5e15, 1e300, 0.5,
+                                      1e16, 4e15, 1e17, 1.0,   1e16};
+  for (int i = 0; i < static_cast<int>(times.size()); ++i) {
+    q.Push(times[i], [&order, i] { order.push_back(i); });
+  }
+  q.Push(3e16, [&] {
+    order.push_back(100);
+    q.Push(3e16, [&] { order.push_back(101); });  // Same time: FIFO.
+    q.Push(5e16, [&] { order.push_back(102); });  // Before 1e17.
+  });
+  while (!q.Empty()) q.Pop(nullptr)();
+  return order;
+}
+
+TEST(EventQueueTest, FarFutureOrderMatchesReferenceHeap) {
+  const std::vector<int> wheel = FarFutureOrder<EventQueue>();
+  EXPECT_EQ(wheel, (std::vector<int>{4, 8, 1, 6, 2, 0, 5, 9, 100, 101, 102,
+                                     7, 3}));
+  EXPECT_EQ(wheel, FarFutureOrder<ReferenceEventHeap>());
+}
+
 TEST(EventQueueTest, PushDuringDrainOfSameTimestampKeepsFifo) {
   // An event scheduling another event at the *same* timestamp must see
   // it fire after every already-queued event at that timestamp (the new

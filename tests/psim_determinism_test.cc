@@ -119,7 +119,7 @@ TEST(PsimDeterminismTest, SteadyStateAllocationFreeOnEveryShard) {
   // The gate lands on the same obs name scripts/check_all.sh asserts.
   EXPECT_EQ(result.obs.CounterValue("net.allocs"), 0u);
   EXPECT_EQ(result.obs.GaugeValue("psim.shards"), 4.0);
-  EXPECT_EQ(result.obs.CounterValue("psim.frames_sent"),
+  EXPECT_EQ(result.obs.CounterValue("channel.frames_sent"),
             result.totals.frames_sent);
 }
 
@@ -250,7 +250,7 @@ TEST(PsimDeterminismTest, HarnessShardedRunReportsSubstrateMetrics) {
   EXPECT_EQ(m.shards_requested, 4);
   EXPECT_EQ(m.shards_effective, 4);
   EXPECT_GT(m.average_degree, 0.0);
-  EXPECT_GT(m.obs.CounterValue("psim.frames_sent"), 0u);
+  EXPECT_GT(m.obs.CounterValue("channel.frames_sent"), 0u);
   EXPECT_GT(m.obs.CounterValue("psim.boundary_frames"), 0u);
   EXPECT_EQ(m.obs.CounterValue("psim.audit_mismatches"), 0u);
   EXPECT_EQ(m.obs.CounterValue("net.allocs"), 0u);
@@ -260,6 +260,50 @@ TEST(PsimDeterminismTest, HarnessShardedRunReportsSubstrateMetrics) {
   const RunMetrics again = RunOnce(config, 42);
   EXPECT_EQ(m.obs.ToJson(), again.obs.ToJson());
   EXPECT_EQ(m.average_degree, again.average_degree);
+}
+
+// One vocabulary: a quantity both engines count has one name, so a
+// serial and a sharded snapshot of the same config diff key by key.
+TEST(PsimDeterminismTest, SerialAndShardedSnapshotsShareCounterNames) {
+  ExperimentConfig config;
+  config.network.node_count = 512;
+  config.network.field = Rect::Field(560.0, 115.0);
+  config.duration = 0.8;
+  config.warmup = 0.0;
+  config.runs = 1;
+  const RunMetrics serial = RunOnce(config, 42);
+  config.shards = 2;
+  const RunMetrics sharded = RunOnce(config, 42);
+  ASSERT_EQ(sharded.shards_effective, 2);
+
+  const std::vector<std::string> shared = {
+      "channel.frames_sent",          "channel.receptions_attempted",
+      "channel.receptions_delivered", "channel.receptions_collided",
+      "channel.receptions_lost",      "mac.csma_failures",
+      "net.allocs",                   "engine.events_fired"};
+  const auto has_counter = [](const MetricsSnapshot& snap,
+                              const std::string& name) {
+    for (const MetricsSnapshot::Counter& c : snap.counters) {
+      if (c.name == name) return true;
+    }
+    return false;
+  };
+  for (const std::string& name : shared) {
+    EXPECT_TRUE(has_counter(serial.obs, name)) << "serial lacks " << name;
+    EXPECT_TRUE(has_counter(sharded.obs, name)) << "sharded lacks " << name;
+  }
+  EXPECT_GT(sharded.obs.CounterValue("channel.frames_sent"), 0u);
+  // No psim.* alias of a shared quantity (psim.frames_sent,
+  // psim.csma_failures, ...); per-shard rows such as
+  // psim.shard0.frames_sent attribute work and stay.
+  for (const MetricsSnapshot::Counter& c : sharded.obs.counters) {
+    if (c.name.rfind("psim.", 0) != 0) continue;
+    const std::string suffix = c.name.substr(5);
+    for (const std::string& name : shared) {
+      EXPECT_NE(suffix, name.substr(name.find('.') + 1))
+          << c.name << " duplicates " << name;
+    }
+  }
 }
 
 // psim carries no query traffic, so RunOnce refuses a workload on it

@@ -94,16 +94,16 @@ TEST(PsimGoldenTest, PaperDensityLossy) {
        3760u, 4536u,
        320388u, 85480u},
       0x1.8033333333333p+4,
-      R"({"counters": {"psim.candidates_scanned": 320388, )"
+      R"({"counters": {"channel.frames_sent": 4799, )"
+      R"("channel.receptions_attempted": 93776, )"
+      R"("channel.receptions_collided": 3760, )"
+      R"("channel.receptions_delivered": 85480, )"
+      R"("channel.receptions_lost": 4536, )"
+      R"("mac.csma_failures": 0, )"
+      R"("psim.candidates_scanned": 320388, )"
       R"("psim.csma_attempts": 4879, )"
       R"("psim.csma_busy": 80, )"
-      R"("psim.csma_failures": 0, )"
-      R"("psim.frames_sent": 4799, )"
-      R"("psim.neighbor_updates": 85480, )"
-      R"("psim.receptions_attempted": 93776, )"
-      R"("psim.receptions_collided": 3760, )"
-      R"("psim.receptions_delivered": 85480, )"
-      R"("psim.receptions_lost": 4536}, )"
+      R"("psim.neighbor_updates": 85480}, )"
       R"("gauges": {"psim.lookahead_s": 0.000736}, )"
       R"("histograms": {}})");
 }
@@ -128,16 +128,16 @@ TEST(PsimGoldenTest, DenseFastCollisions) {
        681150u, 0u,
        6139049u, 694743u},
       0x1.84e3d70a3d70ap+6,
-      R"({"counters": {"psim.candidates_scanned": 6139049, )"
+      R"({"counters": {"channel.frames_sent": 23970, )"
+      R"("channel.receptions_attempted": 1375893, )"
+      R"("channel.receptions_collided": 681150, )"
+      R"("channel.receptions_delivered": 694743, )"
+      R"("channel.receptions_lost": 0, )"
+      R"("mac.csma_failures": 14, )"
+      R"("psim.candidates_scanned": 6139049, )"
       R"("psim.csma_attempts": 29981, )"
       R"("psim.csma_busy": 6011, )"
-      R"("psim.csma_failures": 14, )"
-      R"("psim.frames_sent": 23970, )"
-      R"("psim.neighbor_updates": 694743, )"
-      R"("psim.receptions_attempted": 1375893, )"
-      R"("psim.receptions_collided": 681150, )"
-      R"("psim.receptions_delivered": 694743, )"
-      R"("psim.receptions_lost": 0}, )"
+      R"("psim.neighbor_updates": 694743}, )"
       R"("gauges": {"psim.lookahead_s": 0.000736}, )"
       R"("histograms": {}})");
 }
@@ -158,16 +158,16 @@ TEST(PsimGoldenTest, StaticField) {
        5064u, 0u,
        188601u, 66995u},
       0x1.da7ae147ae148p+4,
-      R"({"counters": {"psim.candidates_scanned": 188601, )"
+      R"({"counters": {"channel.frames_sent": 2400, )"
+      R"("channel.receptions_attempted": 72059, )"
+      R"("channel.receptions_collided": 5064, )"
+      R"("channel.receptions_delivered": 66995, )"
+      R"("channel.receptions_lost": 0, )"
+      R"("mac.csma_failures": 0, )"
+      R"("psim.candidates_scanned": 188601, )"
       R"("psim.csma_attempts": 2447, )"
       R"("psim.csma_busy": 47, )"
-      R"("psim.csma_failures": 0, )"
-      R"("psim.frames_sent": 2400, )"
-      R"("psim.neighbor_updates": 66995, )"
-      R"("psim.receptions_attempted": 72059, )"
-      R"("psim.receptions_collided": 5064, )"
-      R"("psim.receptions_delivered": 66995, )"
-      R"("psim.receptions_lost": 0}, )"
+      R"("psim.neighbor_updates": 66995}, )"
       R"("gauges": {"psim.lookahead_s": 0.000736}, )"
       R"("histograms": {}})");
 }

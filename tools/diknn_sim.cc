@@ -185,11 +185,11 @@ int RunSubstrate(const ExperimentConfig& config, bool csv,
   for (int i = 0; i < static_cast<int>(runs.size()); ++i) {
     const uint64_t seed = config.base_seed + i;
     const RunMetrics& m = runs[i];
-    const uint64_t frames = m.obs.CounterValue("psim.frames_sent");
+    const uint64_t frames = m.obs.CounterValue("channel.frames_sent");
     const uint64_t attempted =
-        m.obs.CounterValue("psim.receptions_attempted");
+        m.obs.CounterValue("channel.receptions_attempted");
     const uint64_t delivered =
-        m.obs.CounterValue("psim.receptions_delivered");
+        m.obs.CounterValue("channel.receptions_delivered");
     frames_sum += static_cast<double>(frames);
     attempted_sum += static_cast<double>(attempted);
     delivered_sum += static_cast<double>(delivered);

@@ -70,6 +70,9 @@ void BeaconService::FireSweep() {
 }
 
 void BeaconService::SendBeacon(Node* node) {
+  // A node compacts its own table once per beacon round, so the table
+  // never holds more than one radio neighborhood (neighbor_table.h).
+  node->neighbors().Expire(sim_->Now());
   auto msg = MessagePool::Make<BeaconMessage>();
   msg->id = node->id();
   msg->position = node->Position();

@@ -9,9 +9,7 @@ namespace diknn {
 
 void NeighborTable::Reserve(size_t n) {
   ids_.reserve(n);
-  positions_.reserve(n);
-  speeds_.reserve(n);
-  last_heard_.reserve(n);
+  records_.reserve(n);
 }
 
 size_t NeighborTable::LaneOf(NodeId id) const {
@@ -23,27 +21,21 @@ void NeighborTable::Update(NodeId id, Point position, double speed,
                            SimTime now) {
   const size_t i = LaneOf(id);
   if (i < ids_.size()) {
-    positions_[i] = position;
-    speeds_[i] = speed;
-    last_heard_[i] = now;
+    records_[i] = Record{position, speed, now};
     return;
   }
   // First contact: lane growth is table capacity (lanes never shrink),
   // not a per-beacon transient allocation.
   AllocScopePause capacity;
   ids_.push_back(id);
-  positions_.push_back(position);
-  speeds_.push_back(speed);
-  last_heard_.push_back(now);
+  records_.push_back(Record{position, speed, now});
 }
 
 void NeighborTable::Remove(NodeId id) {
   const size_t i = LaneOf(id);
   if (i == ids_.size()) return;
   ids_.erase(ids_.begin() + i);
-  positions_.erase(positions_.begin() + i);
-  speeds_.erase(speeds_.begin() + i);
-  last_heard_.erase(last_heard_.begin() + i);
+  records_.erase(records_.begin() + i);
 }
 
 void NeighborTable::Expire(SimTime now) {
@@ -52,29 +44,19 @@ void NeighborTable::Expire(SimTime now) {
     if (!FreshAt(r, now)) continue;
     if (w != r) {
       ids_[w] = ids_[r];
-      positions_[w] = positions_[r];
-      speeds_[w] = speeds_[r];
-      last_heard_[w] = last_heard_[r];
+      records_[w] = records_[r];
     }
     ++w;
   }
   ids_.resize(w);
-  positions_.resize(w);
-  speeds_.resize(w);
-  last_heard_.resize(w);
+  records_.resize(w);
 }
 
 std::optional<NeighborEntry> NeighborTable::Lookup(NodeId id,
                                                    SimTime now) const {
   const size_t i = LaneOf(id);
   if (i == ids_.size() || !FreshAt(i, now)) return std::nullopt;
-  return NeighborEntry{ids_[i], positions_[i], speeds_[i], last_heard_[i]};
-}
-
-std::vector<NeighborEntry> NeighborTable::Snapshot(SimTime now) const {
-  std::vector<NeighborEntry> out;
-  SnapshotInto(now, &out);
-  return out;
+  return EntryAt(i);
 }
 
 void NeighborTable::SnapshotInto(SimTime now,
@@ -84,12 +66,7 @@ void NeighborTable::SnapshotInto(SimTime now,
     AllocScopePause capacity;  // Scratch high-water growth only.
     out->reserve(ids_.size());
   }
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    if (FreshAt(i, now)) {
-      out->push_back(
-          NeighborEntry{ids_[i], positions_[i], speeds_[i], last_heard_[i]});
-    }
-  }
+  ForEachFresh(now, [out](const NeighborEntry& e) { out->push_back(e); });
 }
 
 int NeighborTable::CountFresh(SimTime now) const {
@@ -106,29 +83,14 @@ std::optional<NeighborEntry> NeighborTable::ClosestTo(const Point& target,
   double best_d2 = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < ids_.size(); ++i) {
     if (!FreshAt(i, now)) continue;
-    const double d2 = SquaredDistance(positions_[i], target);
+    const double d2 = SquaredDistance(records_[i].position, target);
     if (d2 < best_d2) {
       best_d2 = d2;
       best = i;
     }
   }
   if (best == ids_.size()) return std::nullopt;
-  return NeighborEntry{ids_[best], positions_[best], speeds_[best],
-                       last_heard_[best]};
-}
-
-std::vector<NeighborEntry> NeighborTable::CloserThan(const Point& target,
-                                                     double threshold,
-                                                     SimTime now) const {
-  std::vector<NeighborEntry> out;
-  const double t2 = threshold * threshold;
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    if (FreshAt(i, now) && SquaredDistance(positions_[i], target) < t2) {
-      out.push_back(
-          NeighborEntry{ids_[i], positions_[i], speeds_[i], last_heard_[i]});
-    }
-  }
-  return out;
+  return EntryAt(best);
 }
 
 int NeighborTable::CountFartherThan(const Point& from, double radius,
@@ -136,17 +98,11 @@ int NeighborTable::CountFartherThan(const Point& from, double radius,
   int count = 0;
   const double r2 = radius * radius;
   for (size_t i = 0; i < ids_.size(); ++i) {
-    if (FreshAt(i, now) && SquaredDistance(positions_[i], from) > r2) ++count;
+    if (FreshAt(i, now) && SquaredDistance(records_[i].position, from) > r2) {
+      ++count;
+    }
   }
   return count;
-}
-
-double NeighborTable::MaxNeighborSpeed(SimTime now) const {
-  double max_speed = 0.0;
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    if (FreshAt(i, now)) max_speed = std::max(max_speed, speeds_[i]);
-  }
-  return max_speed;
 }
 
 }  // namespace diknn

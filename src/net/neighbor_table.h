@@ -3,21 +3,22 @@
 // Section 3.1 of the paper: "Beacons with locations and identities (IDs)
 // are periodically broadcasted. Every sensor node also maintains a table
 // enrolling IDs and locations of neighbor nodes falling within its radio
-// range r." Entries expire after a staleness timeout (several beacon
-// periods), so nodes that moved away or died disappear from the table.
+// range r." An entry unheard-of for longer than the staleness timeout
+// (several beacon periods) is invisible to every query, and the owning
+// node compacts its table with Expire each time its beacon round starts,
+// on both engines. A table therefore holds its fresh set plus at most
+// what went stale during the last beacon interval: one radio
+// neighborhood, about 20-40 entries at the paper's density.
 //
-// Layout (docs/PACKET_PLANE.md): struct-of-arrays. The geometric scans
-// that dominate the hot path — greedy next-hop selection, boundary
-// estimation, planarization — touch only the position lane, so entries
-// are stored as four parallel flat vectors in insertion order. There is
-// no id index: a table holds one radio neighborhood (about 20-40 entries
-// at the paper's density), and a linear scan of the contiguous id lane
-// finds an entry in fewer cache misses than a hash probe would, with no
-// index to rebuild when the lanes are compacted. Insertion order is
+// Layout (docs/PACKET_PLANE.md): two parallel flat vectors in insertion
+// order, the id lane and one 32-byte record lane (position, speed,
+// last-heard time). There is no id index: a linear scan of the
+// contiguous id lane finds an entry in fewer cache misses than a hash
+// probe would, and a refresh writes one record. Insertion order is
 // preserved across erasure (lanes are compacted, not swap-erased), which
 // makes iteration order a pure function of the beacon history and keeps
 // runs bit-identical across --jobs counts. In steady state (table grown
-// to its high-water capacity) updates, removals, expiry sweeps and scans
+// to its high-water capacity) updates, removals, expiry and scans
 // allocate nothing.
 
 #ifndef DIKNN_NET_NEIGHBOR_TABLE_H_
@@ -59,15 +60,12 @@ class NeighborTable {
   /// Removes a neighbor explicitly (e.g., unicast to it failed).
   void Remove(NodeId id);
 
-  /// Drops entries older than the timeout relative to `now`.
+  /// Drops entries older than the timeout relative to `now`. Each engine
+  /// calls this when the owning node's beacon round starts.
   void Expire(SimTime now);
 
   /// Live entry for `id`, if present and fresh at `now`.
   std::optional<NeighborEntry> Lookup(NodeId id, SimTime now) const;
-
-  /// All fresh entries at time `now`. Allocates the result vector; hot
-  /// paths should use SnapshotInto with a reused scratch buffer instead.
-  std::vector<NeighborEntry> Snapshot(SimTime now) const;
 
   /// Clears `out` and fills it with all fresh entries at `now`, in table
   /// (insertion) order. Reusing `out` across calls makes this
@@ -80,34 +78,40 @@ class NeighborTable {
   void ForEachFresh(SimTime now, Fn&& fn) const {
     for (size_t i = 0; i < ids_.size(); ++i) {
       if (!FreshAt(i, now)) continue;
-      fn(NeighborEntry{ids_[i], positions_[i], speeds_[i], last_heard_[i]});
+      fn(EntryAt(i));
     }
   }
 
   /// Number of fresh entries at `now`.
   int CountFresh(SimTime now) const;
 
+  /// Number of lanes, stale ones not yet expired included.
+  size_t size() const { return ids_.size(); }
+
   /// Fresh neighbor geometrically closest to `target`; nullopt if empty.
   std::optional<NeighborEntry> ClosestTo(const Point& target,
                                          SimTime now) const;
-
-  /// Fresh neighbors strictly closer to `target` than `threshold` meters.
-  std::vector<NeighborEntry> CloserThan(const Point& target, double threshold,
-                                        SimTime now) const;
 
   /// Counts fresh neighbors farther than `radius` from `from` — the
   /// "newly encountered neighbors" enc_i of the paper's Section 4.1.
   int CountFartherThan(const Point& from, double radius, SimTime now) const;
 
-  /// The maximum advertised speed among fresh neighbors (0 if none) — the
-  /// mu record used by the paper's mobility-assurance mechanism.
-  double MaxNeighborSpeed(SimTime now) const;
-
   SimTime timeout() const { return timeout_; }
 
  private:
+  /// What the last beacon from one neighbor said, and when it arrived.
+  struct Record {
+    Point position;
+    double speed = 0.0;
+    SimTime last_heard = 0;
+  };
+
   bool FreshAt(size_t i, SimTime now) const {
-    return now - last_heard_[i] <= timeout_;
+    return now - records_[i].last_heard <= timeout_;
+  }
+  NeighborEntry EntryAt(size_t i) const {
+    const Record& r = records_[i];
+    return NeighborEntry{ids_[i], r.position, r.speed, r.last_heard};
   }
 
   // Lane of `id`, or ids_.size() when absent.
@@ -116,9 +120,7 @@ class NeighborTable {
   SimTime timeout_;
   // Parallel lanes, insertion-ordered.
   std::vector<NodeId> ids_;
-  std::vector<Point> positions_;
-  std::vector<double> speeds_;
-  std::vector<SimTime> last_heard_;
+  std::vector<Record> records_;
 };
 
 }  // namespace diknn

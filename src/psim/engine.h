@@ -9,8 +9,8 @@
 // fixed-length lookahead windows:
 //
 //   for each window k:            (all shards, one std::barrier each)
-//     barrier ─ sweep   : re-bucket owned nodes, mail migrations,
-//                         expire neighbor tables   (every R windows)
+//     barrier ─ sweep   : re-bucket owned nodes, mail migrations
+//                                                  (every R windows)
 //     barrier ─ drain   : adopt migrated nodes, chain neighbor frames
 //             ─ process : decide window k-2 receptions, run local
 //                         events in [kL, (k+1)L)

@@ -151,6 +151,9 @@ void PsimShard::OnNodeEvent(uint32_t i) {
 
 void PsimShard::StartCsma(uint32_t i, SimTime now) {
   PsimNode& n = world_->nodes[i];
+  // Same rule as the serial BeaconService: a node compacts its own
+  // table when its beacon round starts.
+  n.neighbors.Expire(now);
   n.backoffs = 0;
   n.be = static_cast<uint8_t>(world_->config.mac.min_be);
   n.phase = PsimNode::Phase::kBackoff;
@@ -269,7 +272,6 @@ void PsimShard::SweepIfDue(uint64_t k) {
   migrated_out_.clear();
   for (const uint32_t i : owned_) {
     PsimNode& n = world_->nodes[i];
-    n.neighbors.Expire(now);
     const Point pos = n.mobility->PositionAt(now);
     const PsimBucketEntry entry{i, static_cast<float>(pos.x),
                                 static_cast<float>(pos.y)};

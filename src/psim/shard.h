@@ -287,8 +287,8 @@ class PsimShard {
 
   /// Phase A (between the two barriers): on sweep windows, re-bucket
   /// every owned node at the window boundary, mail nodes whose bucket
-  /// moved to another tile, expire neighbor tables, and run an ownership
-  /// audit probe off the shard RNG.
+  /// moved to another tile, and run an ownership audit probe off the
+  /// shard RNG. (A node expires its own neighbor table in StartCsma.)
   void SweepIfDue(uint64_t k);
 
   /// Phase B.1: adopt migrated-in nodes and chain drained boundary

@@ -1,5 +1,7 @@
 #include "net/beacon.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "net/network.h"
@@ -45,7 +47,7 @@ TEST(BeaconTest, BeaconsCarryPositionAndSpeed) {
   const SimTime now = net.sim().Now();
   int checked = 0;
   for (int u = 0; u < net.size(); ++u) {
-    for (const NeighborEntry& e : net.node(u)->neighbors().Snapshot(now)) {
+    net.node(u)->neighbors().ForEachFresh(now, [&](const NeighborEntry& e) {
       // The advertised position is at most (staleness * max speed) off.
       const double staleness = now - e.last_heard;
       const double error =
@@ -54,7 +56,7 @@ TEST(BeaconTest, BeaconsCarryPositionAndSpeed) {
       EXPECT_GE(e.speed, 0.0);
       EXPECT_LE(e.speed, config.max_speed);
       ++checked;
-    }
+    });
   }
   EXPECT_GT(checked, 10);
 }
@@ -91,6 +93,46 @@ TEST(BeaconTest, MobileNeighborhoodsTrackMovement) {
   // Tables keep tracking: degree stays in a sane band instead of decaying
   // to zero as nodes move away from their original neighbors.
   EXPECT_GT(degree_after, 0.5 * degree_before);
+}
+
+TEST(BeaconTest, TablesHoldOneRadioNeighborhood) {
+  // Section 3.1: a table enrolls the neighbors within radio range. In a
+  // mobile field a node hears hundreds of distinct ids over a minute; a
+  // node that compacts its table when it beacons holds only its fresh
+  // set plus what went stale during the last beacon interval.
+  NetworkConfig config;
+  config.node_count = 400;
+  config.field = Rect::Field(162.6, 162.6);  // Paper density (200/115^2).
+  config.max_speed = 10.0;
+  config.seed = 11;
+  Network net(config);
+  net.Warmup(2.0);
+  double lanes_sum = 0.0, fresh_sum = 0.0;
+  size_t max_lanes = 0;
+  int max_fresh = 0, max_heard = 0;
+  for (SimTime t = 3.0; t <= 60.0; t += 1.0) {
+    net.sim().RunUntil(t);
+    const SimTime now = net.sim().Now();
+    for (int u = 0; u < net.size(); ++u) {
+      const NeighborTable& table = net.node(u)->neighbors();
+      const int fresh = table.CountFresh(now);
+      int heard = 0;  // Distinct neighbors heard in one beacon interval.
+      table.ForEachFresh(now, [&](const NeighborEntry& e) {
+        if (now - e.last_heard <= config.beacon_interval) ++heard;
+      });
+      lanes_sum += static_cast<double>(table.size());
+      fresh_sum += fresh;
+      max_lanes = std::max(max_lanes, table.size());
+      max_fresh = std::max(max_fresh, fresh);
+      max_heard = std::max(max_heard, heard);
+    }
+  }
+  ASSERT_GT(fresh_sum, 0.0);
+  EXPECT_LE(lanes_sum, 1.25 * fresh_sum)
+      << "mean lanes " << lanes_sum / fresh_sum << "x mean fresh";
+  EXPECT_LE(max_lanes, static_cast<size_t>(max_fresh + max_heard))
+      << "max fresh " << max_fresh << ", max heard per interval "
+      << max_heard;
 }
 
 }  // namespace
